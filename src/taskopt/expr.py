@@ -16,6 +16,7 @@ from __future__ import annotations
 import enum
 import math
 import numbers
+import operator
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -1121,9 +1122,22 @@ class CompiledFunction:
                 tape.append((pos, n.op, ia, ib))
         self._tape = tape
         self._init = init
-        self._out_pos = [
-            [index[id(e._n[i, j])] for j in range(e.cols)] for i in range(e.rows)
-        ]
+
+        # Output entries, row-major as ``out.flat`` indexes them: computed
+        # entries read their tape value, constants other than +0.0 (a -0.0
+        # keeps its sign) are written once, and the rest stay zero.
+        var_idx, var_pos, const_idx, const_val = [], [], [], []
+        for k, n in enumerate(e._n.flat):
+            if n.op != _CONST:
+                var_idx.append(k)
+                var_pos.append(index[id(n)])
+            elif n.val != 0.0 or math.copysign(1.0, n.val) < 0.0:
+                const_idx.append(k)
+                const_val.append(n.val)
+        self._var_idx = np.array(var_idx, dtype=np.intp)
+        self._var_get = operator.itemgetter(*var_pos) if var_pos else None
+        self._const_idx = np.array(const_idx, dtype=np.intp)
+        self._const_val = np.array(const_val, dtype=float)
 
     @staticmethod
     def _locate(leaf: Node, layouts):
@@ -1139,6 +1153,9 @@ class CompiledFunction:
         )
 
     def __call__(self, *vectors) -> np.ndarray:
+        # Python floats, not numpy scalars, so each op follows the reference
+        # arithmetic of ``evaluate``: x / 0 raises (a fault), not inf.
+        vectors = [np.asarray(v, dtype=float).tolist() for v in vectors]
         vals = self._init.copy()
         try:
             for pos, op, ia, ib in self._tape:
@@ -1178,8 +1195,8 @@ class CompiledFunction:
                     vals[pos] = math.atan2(vals[ia], vals[ib])
         except (ArithmeticError, ValueError, OverflowError):
             return np.full(self.shape, np.nan)
-        out = np.empty(self.shape, dtype=float)
-        for i, row in enumerate(self._out_pos):
-            for j, pos in enumerate(row):
-                out[i, j] = vals[pos]
+        out = np.zeros(self.shape, dtype=float)
+        out.flat[self._const_idx] = self._const_val
+        if self._var_get is not None:
+            out.flat[self._var_idx] = self._var_get(vals)
         return out

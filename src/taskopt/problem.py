@@ -259,8 +259,8 @@ class Problem:
             h=self.nonlin_eq(X, P),
         )
 
-    def feasibility(self, X, P=(), tol: float = 1e-6) -> FeasibilityReport:
-        """Residual report; ``tol`` is recorded by callers, not applied here."""
+    def feasibility(self, X, P=()) -> FeasibilityReport:
+        """Residual report; callers judge it with :meth:`FeasibilityReport.ok`."""
         vals = self.constraints(X, P)
         residuals: dict[str, float] = {}
         worst_name, worst_val = None, -1.0

@@ -1,10 +1,14 @@
 """Operator-splitting solver for quadratic programs.
 
 Solves ``min 0.5 x'Hx + q'x  s.t.  l <= Cx <= u`` by the alternating
-direction method with over-relaxation: each iteration solves one quasi
-definite KKT system (factored once), projects onto the box, and updates
-the duals.  Equality rows (``l == u``) get their penalty scaled up, which
-sharpens convergence on mixed problems.
+direction method with over-relaxation (the OSQP iteration).  Each
+iteration solves the condensed n x n system
+``(H + sigma I + C' diag(rho) C) x~ = sigma x - q + C'(rho z - y)``, sets
+``z~ = C x~``, projects onto the box, and updates the duals.  With every
+``rho > 0`` this is the reduced form of the (n + m) quasi-definite KKT
+system, so only an n x n LU factor is kept; it is refactored when the
+penalty adapts.  Equality rows (``l == u``) get their penalty scaled up,
+which sharpens convergence on mixed problems.
 
 Dual convention matches the dual-residual formula ``Hx + q + C'y``:
 ``y >= 0`` on active upper bounds and ``y <= 0`` on active lower bounds.
@@ -140,36 +144,26 @@ def solve_qp(H, q, C, l, u, x0=None, y0=None, options: SolverOptions | None = No
     def factor(rho_base: float):
         rho = np.full(m, rho_base)
         rho[eq_rows] = rho_base * _EQ_PENALTY_SCALE
-        kkt = np.zeros((n + m, n + m))
-        kkt[:n, :n] = H + sigma * np.eye(n)
-        kkt[:n, n:] = C.T
-        kkt[n:, :n] = C
-        kkt[n:, n:] = -np.diag(1.0 / rho)
-        return rho, scipy.linalg.lu_factor(kkt)
+        K = H + sigma * np.eye(n) + C.T @ (rho[:, None] * C)
+        return rho, scipy.linalg.lu_factor(K, check_finite=False)
 
     rho_base = opts.qp_penalty
-    rho, (lu, piv) = factor(rho_base)
+    rho, lu_piv = factor(rho_base)
 
     x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()
     y = np.zeros(m) if y0 is None else np.asarray(y0, dtype=float).copy()
     z = np.clip(C @ x, l, u)
+    Hx = H @ x
 
-    def objective(v):
-        return float(0.5 * v @ H @ v + q @ v)
-
-    obj_hist = [objective(x)]
+    obj_hist = [float(0.5 * x @ Hx + q @ x)]
     step_hist = [0.0]
     converged = False
     termination = "max-iterations"
-    rhs = np.empty(n + m)
     it = 0
     for it in range(1, opts.qp_max_iterations + 1):
-        rhs[:n] = sigma * x - q
-        rhs[n:] = z - y / rho
-        sol = scipy.linalg.lu_solve((lu, piv), rhs)
-        x_t = sol[:n]
-        nu = sol[n:]
-        z_t = z + (nu - y) / rho
+        rhs = sigma * x - q + C.T @ (rho * z - y)
+        x_t = scipy.linalg.lu_solve(lu_piv, rhs, check_finite=False)
+        z_t = C @ x_t
 
         x_new = alpha * x_t + (1.0 - alpha) * x
         z_relaxed = alpha * z_t + (1.0 - alpha) * z
@@ -178,7 +172,8 @@ def solve_qp(H, q, C, l, u, x0=None, y0=None, options: SolverOptions | None = No
 
         step = float(np.abs(x_new - x).max(initial=0.0))
         x, z = x_new, z_new
-        obj_hist.append(objective(x))
+        Hx = H @ x
+        obj_hist.append(float(0.5 * x @ Hx + q @ x))
         step_hist.append(step)
 
         if not np.all(np.isfinite(x)):
@@ -186,7 +181,6 @@ def solve_qp(H, q, C, l, u, x0=None, y0=None, options: SolverOptions | None = No
             break
 
         Cx = C @ x
-        Hx = H @ x
         Cty = C.T @ y
         r_prim = float(np.abs(Cx - z).max(initial=0.0))
         r_dual = float(np.abs(Hx + q + Cty).max(initial=0.0))
@@ -216,7 +210,7 @@ def solve_qp(H, q, C, l, u, x0=None, y0=None, options: SolverOptions | None = No
             scale = float(np.sqrt(ratio))
             if scale > 5.0 or scale < 0.2:
                 rho_base = float(np.clip(rho_base * scale, 1e-6, 1e6))
-                rho, (lu, piv) = factor(rho_base)
+                rho, lu_piv = factor(rho_base)
 
     if converged:
         x, y = _polish(H, q, C, l, u, x, y)
@@ -247,6 +241,7 @@ class OperatorSplittingQP(SolverAdapter):
     def initialize(self, problem, options: SolverOptions) -> None:
         self.problem = problem
         self.options = options
+        self.multipliers = np.zeros(0)
         self._stats = Stats()
 
     def solve(self, x0, params):
@@ -262,7 +257,9 @@ class OperatorSplittingQP(SolverAdapter):
         lo = np.concatenate([-c, -b])
         hi = np.concatenate([np.full(M.shape[0], np.inf), -b])
 
-        result = solve_qp(H, q, C, lo, hi, x0=x0, options=self.options)
+        # warm-start the duals from the previous solve of this session
+        y0 = self.multipliers if self.multipliers.size == C.shape[0] else None
+        result = solve_qp(H, q, C, lo, hi, x0=x0, y0=y0, options=self.options)
         self.converged = result.converged
         self.termination = result.termination
         self.multipliers = result.y

@@ -46,6 +46,24 @@ def _psd_projection(H: np.ndarray, relative_floor: float = 1e-3) -> np.ndarray:
     return (V * w) @ V.T
 
 
+def _kkt_residual(grad, C_in, r_in, C_eq, r_eq, lam, nu) -> float:
+    """Max of stationarity, feasibility, and complementarity residuals.
+
+    ``r_in >= 0`` and ``r_eq = 0`` are the constraint rows with Jacobians
+    ``C_in`` and ``C_eq``; ``lam >= 0`` and ``nu`` are their multipliers.
+    """
+    stat = grad - C_in.T @ lam - C_eq.T @ nu
+    if not np.all(np.isfinite(stat)):
+        return np.inf
+    feas = 0.0
+    if r_eq.size:
+        feas = max(feas, float(np.abs(r_eq).max()))
+    if r_in.size:
+        feas = max(feas, float(np.maximum(-r_in, 0.0).max()))
+    comp = float(np.abs(lam * r_in).max(initial=0.0))
+    return max(float(np.abs(stat).max(initial=0.0)), feas, comp)
+
+
 class SQPSolver(SolverAdapter):
     """Adapter tag ``"sqp"``: accepts every problem classification."""
 
@@ -81,32 +99,14 @@ class SQPSolver(SolverAdapter):
             return np.inf
         return f + mu * self._violation(kv, gv, av, hv)
 
-    def _kkt_residual(self, x, params, lam, nu, M, c, A, b) -> float:
-        """Max of stationarity, feasibility, and complementarity residuals."""
+    def _linearize(self, x, params, M, c, A, b):
+        """Stacked inequality and equality rows at x and their Jacobians."""
         prob = self.problem
-        grad = prob.gradient(x, params)
-        kv = M @ x + c if M.size else np.zeros(0)
-        av = A @ x + b if A.size else np.zeros(0)
-        gv = prob.nonlin_ineq(x, params)
-        hv = prob.nonlin_eq(x, params)
-        Jg = prob.nonlin_ineq_jacobian(x, params)
-        Jh = prob.nonlin_eq_jacobian(x, params)
-        r_in = np.concatenate([kv, gv])
-        r_eq = np.concatenate([av, hv])
-        stat = grad.copy()
-        if r_in.size:
-            stat -= np.vstack([M, Jg]).T @ lam
-        if r_eq.size:
-            stat -= np.vstack([A, Jh]).T @ nu
-        feas = 0.0
-        if r_eq.size:
-            feas = max(feas, float(np.abs(r_eq).max()))
-        if r_in.size:
-            feas = max(feas, float(np.maximum(-r_in, 0.0).max()))
-        comp = float(np.abs(lam * r_in).max(initial=0.0))
-        if not np.all(np.isfinite(stat)):
-            return np.inf
-        return max(float(np.abs(stat).max(initial=0.0)), feas, comp)
+        C_in = np.vstack([M, prob.nonlin_ineq_jacobian(x, params)])
+        C_eq = np.vstack([A, prob.nonlin_eq_jacobian(x, params)])
+        r_in = np.concatenate([M @ x + c, prob.nonlin_ineq(x, params)])
+        r_eq = np.concatenate([A @ x + b, prob.nonlin_eq(x, params)])
+        return C_in, r_in, C_eq, r_eq
 
     # subproblem ----------------------------------------------------------
     def _subproblem(self, B, grad, C_in, r_in, C_eq, r_eq, d0, y0, mu, kkt=np.inf):
@@ -212,36 +212,15 @@ class SQPSolver(SolverAdapter):
         for it in range(1, opts.max_iterations + 1):
             f = prob.objective(x, params)
             grad = prob.gradient(x, params)
-            kv = M @ x + c if n_k else np.zeros(0)
-            av = A @ x + b if n_a else np.zeros(0)
-            gv = prob.nonlin_ineq(x, params)
-            hv = prob.nonlin_eq(x, params)
-            Jg = prob.nonlin_ineq_jacobian(x, params)
-            Jh = prob.nonlin_eq_jacobian(x, params)
+            C_in, r_in, C_eq, r_eq = self._linearize(x, params, M, c, A, b)
 
-            pieces = [f, grad, kv, av, gv, hv, Jg, Jh]
+            pieces = [f, grad, C_in, r_in, C_eq, r_eq]
             if not all(np.all(np.isfinite(np.atleast_1d(p))) for p in pieces):
                 self.termination = "nan"
                 it -= 1
                 break
 
-            C_in = np.vstack([M, Jg]) if m_in else np.zeros((0, n))
-            C_eq = np.vstack([A, Jh]) if m_eq else np.zeros((0, n))
-            r_in = np.concatenate([kv, gv])
-            r_eq = np.concatenate([av, hv])
-
-            stat = grad.copy()
-            if m_in:
-                stat -= C_in.T @ lam
-            if m_eq:
-                stat -= C_eq.T @ nu
-            feas = 0.0
-            if r_eq.size:
-                feas = max(feas, float(np.abs(r_eq).max()))
-            if r_in.size:
-                feas = max(feas, float(np.maximum(-r_in, 0.0).max()))
-            comp = float(np.abs(lam * r_in).max(initial=0.0))
-            kkt = max(float(np.abs(stat).max(initial=0.0)), feas, comp)
+            kkt = _kkt_residual(grad, C_in, r_in, C_eq, r_eq, lam, nu)
             if kkt <= opts.constraint_tolerance:
                 self.converged = True
                 self.termination = "kkt-tolerance"
@@ -271,7 +250,7 @@ class SQPSolver(SolverAdapter):
                 if mu <= lam_norm:
                     mu = 2.0 * lam_norm + 1.0
 
-            viol0 = self._violation(kv, gv, av, hv)
+            viol0 = self._violation(r_in[:n_k], r_in[n_k:], r_eq[:n_a], r_eq[n_a:])
             merit0 = f + mu * viol0
             slope = float(grad @ d) - mu * viol0
 
@@ -347,7 +326,9 @@ class SQPSolver(SolverAdapter):
 
             if step <= opts.step_tolerance:
                 # the iteration is stationary; certify the final point
-                kkt = self._kkt_residual(x, params, lam, nu, M, c, A, b)
+                grad = prob.gradient(x, params)
+                C_in, r_in, C_eq, r_eq = self._linearize(x, params, M, c, A, b)
+                kkt = _kkt_residual(grad, C_in, r_in, C_eq, r_eq, lam, nu)
                 if kkt > opts.constraint_tolerance and ls_failures < 2:
                     # one endgame retry with near-exact curvature
                     ls_failures += 1

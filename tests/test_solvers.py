@@ -153,6 +153,27 @@ class TestQPSolver:
         assert sol.success
         assert np.abs(sol["x"].ravel() - 0.5).max() <= 1e-6
 
+    def test_resolve_warm_starts_duals(self):
+        # an identical re-solve seeded with the last solution converges at
+        # once only when the session also reuses its last multipliers
+        rng = np.random.default_rng(1)
+        n, m = 20, 30
+        b = to.TaskBuilder(1)
+        x = b.add_decision_variables("x", n)
+        G = rng.normal(size=(n, n))
+        b.add_cost_term("c", to.sumsqr(to.constant(G) @ x - to.constant(rng.normal(size=n))))
+        b.add_leq_inequality_constraint(
+            "rows", to.constant(rng.normal(size=(m, n))) @ x, to.constant(np.full(m, 0.5))
+        )
+        s = Solver(b.build()).setup("qp")
+        first = s.solve()
+        assert first.success and s.stats().iterations > 2
+        s.reset_initial_seed(first)
+        second = s.solve()
+        assert second.success
+        assert s.stats().iterations <= 2
+        assert np.abs(second.x - first.x).max() <= 1e-9
+
     def test_stats_history_lengths(self):
         s = Solver(_qp_problem()).setup("qp")
         s.solve()
