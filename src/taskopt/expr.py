@@ -248,7 +248,7 @@ def _neg(a: Node) -> Node:
 def _pow(a: Node, b: Node) -> Node:
     if _is_const(a) and _is_const(b):
         try:
-            return _const(a.val**b.val)
+            return _const(math.pow(a.val, b.val))
         except (ArithmeticError, ValueError):
             return Node(_POW, a, b)
     if _is_const(b):
@@ -820,7 +820,9 @@ def _apply_op(op, a, b):
         if op == _LOG:
             return math.log(a) if a > 0.0 else math.nan
         if op == _POW:
-            return a**b
+            # math.pow raises on a negative base with a fractional
+            # exponent, where ** would return a complex number
+            return math.pow(a, b)
         if op == _ATAN2:
             return math.atan2(a, b)
     except (ArithmeticError, ValueError):
@@ -1154,7 +1156,8 @@ class CompiledFunction:
 
     def __call__(self, *vectors) -> np.ndarray:
         # Python floats, not numpy scalars, so each op follows the reference
-        # arithmetic of ``evaluate``: x / 0 raises (a fault), not inf.
+        # arithmetic of ``evaluate``: x / 0 and a negative base to a
+        # fractional power raise (a fault), not inf or NaN.
         vectors = [np.asarray(v, dtype=float).tolist() for v in vectors]
         vals = self._init.copy()
         try:
@@ -1190,7 +1193,7 @@ class CompiledFunction:
                     v = vals[ia]
                     vals[pos] = math.log(v) if v > 0.0 else math.nan
                 elif op == _POW:
-                    vals[pos] = vals[ia] ** vals[ib]
+                    vals[pos] = math.pow(vals[ia], vals[ib])
                 else:  # _ATAN2
                     vals[pos] = math.atan2(vals[ia], vals[ib])
         except (ArithmeticError, ValueError, OverflowError):

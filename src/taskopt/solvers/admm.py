@@ -257,8 +257,11 @@ class OperatorSplittingQP(SolverAdapter):
         lo = np.concatenate([-c, -b])
         hi = np.concatenate([np.full(M.shape[0], np.inf), -b])
 
-        # warm-start the duals from the previous solve of this session
-        y0 = self.multipliers if self.multipliers.size == C.shape[0] else None
+        # warm-start the duals from the previous solve of this session, unless
+        # it ended in NaN, which would make this solve stop at iteration 1 too
+        y0 = self.multipliers
+        if y0.size != C.shape[0] or not np.isfinite(y0).all():
+            y0 = None
         result = solve_qp(H, q, C, lo, hi, x0=x0, y0=y0, options=self.options)
         self.converged = result.converged
         self.termination = result.termination

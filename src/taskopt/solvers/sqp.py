@@ -293,18 +293,10 @@ class SQPSolver(SolverAdapter):
 
             # BFGS on the Lagrangian gradient with the fresh multipliers
             grad_new = prob.gradient(x_new, params)
-            Jg_new = prob.nonlin_ineq_jacobian(x_new, params)
-            Jh_new = prob.nonlin_eq_jacobian(x_new, params)
-            C_in_new = np.vstack([M, Jg_new]) if m_in else np.zeros((0, n))
-            C_eq_new = np.vstack([A, Jh_new]) if m_eq else np.zeros((0, n))
-            gL_new = grad_new.copy()
-            gL_old = grad.copy()
-            if m_in:
-                gL_new -= C_in_new.T @ lam
-                gL_old -= C_in.T @ lam
-            if m_eq:
-                gL_new -= C_eq_new.T @ nu
-                gL_old -= C_eq.T @ nu
+            C_in_new = np.vstack([M, prob.nonlin_ineq_jacobian(x_new, params)])
+            C_eq_new = np.vstack([A, prob.nonlin_eq_jacobian(x_new, params)])
+            gL_new = grad_new - C_in_new.T @ lam - C_eq_new.T @ nu
+            gL_old = grad - C_in.T @ lam - C_eq.T @ nu
             yv = gL_new - gL_old
 
             B, ok = damped_bfgs_update(B, s, yv)

@@ -174,6 +174,23 @@ class TestQPSolver:
         assert s.stats().iterations <= 2
         assert np.abs(second.x - first.x).max() <= 1e-9
 
+    def test_nan_parameters_do_not_poison_later_solves(self):
+        # a solve ending in NaN must not seed the next one with NaN duals
+        b = to.TaskBuilder(1)
+        x = b.add_decision_variables("x", 2)
+        t = b.add_parameter("t", 2)
+        b.add_cost_term("c", to.sumsqr(x - t))
+        b.add_leq_inequality_constraint("cap", x[0, 0] + x[1, 0], t[0, 0])
+        s = Solver(b.build()).setup("qp")
+        s.reset_parameters({"t": [1.0, 2.0]})
+        assert s.solve().success
+        s.reset_parameters({"t": [np.nan, 2.0]})
+        assert not s.solve().success
+        s.reset_parameters({"t": [1.0, 2.0]})
+        sol = s.solve()
+        assert sol.success
+        assert np.abs(sol.x - [0.0, 1.0]).max() <= 1e-6
+
     def test_stats_history_lengths(self):
         s = Solver(_qp_problem()).setup("qp")
         s.solve()
