@@ -244,24 +244,16 @@ class TaskBuilder:
 
         x_leaves = self.decision.leaves()
         x_set = frozenset(x_leaves)
-        zero_map = {
-            id(self.decision.block(n).entries()[0].block): ex.constant(
-                np.zeros(self.decision.shape_of(n))
-            )
-            for n in self.decision.names()
-        }
 
-        lin_ineq_rows, lin_ineq_const, k_labels = [], [], []
-        lin_eq_rows, lin_eq_const, a_labels = [], [], []
+        k_rows, k_labels = [], []
+        a_rows, a_labels = [], []
         g_rows, g_labels = [], []
         h_rows, h_labels = [], []
 
         def route(name: str, e: Expression, is_eq: bool):
-            J = ex.jacobian(e, x_leaves)
             for i in range(e.rows):
                 node = e._n[i, 0]
-                deps = ex._deps(node)
-                if not deps:
+                if not ex._deps(node):
                     val = node.val
                     if is_eq:
                         bad = abs(val) > 1e-12
@@ -277,26 +269,12 @@ class TaskBuilder:
                         stacklevel=3,
                     )
                     continue
-                row = Expression(J._n[i : i + 1, :])
-                hard = ex._has_hard_nonlinearity([node], x_set)
-                row_deps = frozenset().union(*(ex._deps(n) for n in row._n.flat))
-                if not hard and not (row_deps & x_set):
-                    const_part = ex.substitute_blocks(Expression(e._n[i : i + 1, :]), zero_map)
-                    if is_eq:
-                        lin_eq_rows.append(row)
-                        lin_eq_const.append(const_part)
-                        a_labels.append(name)
-                    else:
-                        lin_ineq_rows.append(row)
-                        lin_ineq_const.append(const_part)
-                        k_labels.append(name)
+                if ex._classify([node], x_set) <= ex.StructureClass.LINEAR:
+                    rows, labels = (a_rows, a_labels) if is_eq else (k_rows, k_labels)
                 else:
-                    if is_eq:
-                        h_rows.append(Expression(e._n[i : i + 1, :]))
-                        h_labels.append(name)
-                    else:
-                        g_rows.append(Expression(e._n[i : i + 1, :]))
-                        g_labels.append(name)
+                    rows, labels = (h_rows, h_labels) if is_eq else (g_rows, g_labels)
+                rows.append(node)
+                labels.append(name)
 
         for name, e in self._inequalities.items():
             route(name, e, is_eq=False)
@@ -304,30 +282,18 @@ class TaskBuilder:
             route(name, e, is_eq=True)
 
         def stack_rows(rows):
-            return ex.vertcat(*rows) if rows else None
+            return Expression(np.array(rows, dtype=object)) if rows else None
 
-        lin_ineq = None
-        if lin_ineq_rows:
-            lin_ineq = (stack_rows(lin_ineq_rows), stack_rows(lin_ineq_const))
-        lin_eq = None
-        if lin_eq_rows:
-            lin_eq = (stack_rows(lin_eq_rows), stack_rows(lin_eq_const))
-
-        cls = ex.classify(f, x_leaves) if x_leaves else ex.StructureClass.CONSTANT
-        quad = cls in (
-            ex.StructureClass.CONSTANT,
-            ex.StructureClass.LINEAR,
-            ex.StructureClass.QUADRATIC,
-        )
+        def affine(rows):
+            return ex.extract_affine(stack_rows(rows), x_leaves) if rows else None
 
         return Problem(
             decision=self.decision,
             parameters=self.parameters,
             objective_expr=f,
-            lin_ineq=lin_ineq,
-            lin_eq=lin_eq,
+            lin_ineq=affine(k_rows),
+            lin_eq=affine(a_rows),
             nonlin_ineq=stack_rows(g_rows),
             nonlin_eq=stack_rows(h_rows),
             labels={"k": k_labels, "a": a_labels, "g": g_labels, "h": h_labels},
-            cost_is_quadratic=quad,
         )

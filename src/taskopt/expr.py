@@ -9,6 +9,13 @@ built from numeric data collapsed to plain constants.
 Differentiation is forward-mode and symbolic: ``jacobian`` returns a new
 expression that can be evaluated repeatedly or differentiated again for
 higher orders.
+
+Numeric evaluation has one engine, the tape of :class:`CompiledFunction`,
+which :func:`evaluate` also runs.  Any arithmetic fault (division by zero,
+overflow, a domain error such as a negative base to a fractional power)
+gives an all-NaN output rather than raising.  Two domain rules give NaN
+without a fault, at the affected entries only: ``log`` of a value <= 0, and
+``sqrt`` of a value below -1e-12; ``sqrt`` of a value in (-1e-12, 0) gives 0.
 """
 
 from __future__ import annotations
@@ -745,89 +752,22 @@ def evaluate(e: Expression, bindings: Mapping[str, object] | None = None) -> np.
 
     ``bindings`` maps leaf-block names to arrays matching the block shape
     (1-D accepted for column blocks).  Every leaf block appearing in the
-    expression must be bound.
+    expression must be bound.  Evaluation runs :class:`CompiledFunction`,
+    so any arithmetic fault gives an all-NaN output.
     """
     e = as_expression(e)
-    bound: dict[str, np.ndarray] = {}
-    raw = dict(bindings or {})
-
-    vals: dict[int, float] = {}
-    stack = [n for n in e._n.flat]
-    while stack:
-        n = stack[-1]
-        if id(n) in vals:
-            stack.pop()
-            continue
-        op = n.op
-        if op == _CONST:
-            vals[id(n)] = n.val
-            stack.pop()
-        elif op == _LEAF:
-            name = n.block.name
-            arr = bound.get(name)
-            if arr is None:
-                if name not in raw:
-                    raise KeyError(f"no binding for {n.block.kind} {name!r}")
-                arr = _normalize_binding(name, raw[name], n.block.rows, n.block.cols)
-                bound[name] = arr
-            vals[id(n)] = float(arr[n.row, n.col])
-            stack.pop()
-        else:
-            a, b = n.a, n.b
-            ai = vals.get(id(a))
-            bi = vals.get(id(b)) if b is not None else 0.0
-            if ai is None or bi is None:
-                if ai is None:
-                    stack.append(a)
-                if b is not None and bi is None:
-                    stack.append(b)
-                continue
-            vals[id(n)] = _apply_op(op, ai, bi)
-            stack.pop()
-
-    out = np.empty(e.shape, dtype=float)
-    for i in range(e.rows):
-        for j in range(e.cols):
-            out[i, j] = vals[id(e._n[i, j])]
-    return out
-
-
-def _apply_op(op, a, b):
-    try:
-        if op == _ADD:
-            return a + b
-        if op == _SUB:
-            return a - b
-        if op == _MUL:
-            return a * b
-        if op == _DIV:
-            return a / b
-        if op == _NEG:
-            return -a
-        if op == _SIN:
-            return math.sin(a)
-        if op == _COS:
-            return math.cos(a)
-        if op == _TAN:
-            return math.tan(a)
-        if op == _SQRT:
-            if a < 0.0:
-                # tolerate -0-ish roundoff from e.g. det(J J^T)
-                return 0.0 if a > -1e-12 else math.nan
-            return math.sqrt(a)
-        if op == _EXP:
-            return math.exp(a)
-        if op == _LOG:
-            return math.log(a) if a > 0.0 else math.nan
-        if op == _POW:
-            # math.pow raises on a negative base with a fractional
-            # exponent, where ** would return a complex number
-            return math.pow(a, b)
-        if op == _ATAN2:
-            return math.atan2(a, b)
-    except (ArithmeticError, ValueError):
-        return math.nan
-    raise AssertionError(f"unknown opcode {op}")
+    if e.is_constant():
+        # numeric kinematics queries build constant graphs; skip the tape
+        return e.to_array()
+    raw = bindings or {}
+    layouts, vectors = [], []
+    for block in e.leaf_blocks():
+        if block.name not in raw:
+            raise KeyError(f"no binding for {block.kind} {block.name!r}")
+        arr = _normalize_binding(block.name, raw[block.name], block.rows, block.cols)
+        layouts.append((block.kind, {block.name: (0, block.rows, block.cols)}))
+        vectors.append(arr.ravel(order="F"))
+    return CompiledFunction(e, layouts)(*vectors)
 
 
 # -- leaf handling for differentiation ----------------------------------------
@@ -956,11 +896,11 @@ def classify(e, wrt) -> StructureClass:
     check is structural, not value-based, so expressions that only cancel
     algebraically stay in the wider class.
     """
-    e = as_expression(e)
-    leaves = _leaf_list(wrt)
-    wrtset = frozenset(leaves)
-    entries = e.entries()
+    return _classify(as_expression(e).entries(), frozenset(_leaf_list(wrt)))
 
+
+def _classify(entries: Sequence[Node], wrtset: frozenset) -> StructureClass:
+    """:func:`classify` over scalar nodes and a prepared leaf set."""
     if not any(_deps(n) & wrtset for n in entries):
         return StructureClass.CONSTANT
     if _has_hard_nonlinearity(entries, wrtset):
@@ -992,8 +932,8 @@ def extract_affine(e, wrt) -> tuple[Expression, Expression]:
     if not e.is_column():
         e = e.vec()
     leaves = _leaf_list(wrt)
-    cls = classify(e, leaves)
-    if cls not in (StructureClass.CONSTANT, StructureClass.LINEAR):
+    cls = _classify(e.entries(), frozenset(leaves))
+    if not cls <= StructureClass.LINEAR:
         raise ValueError(f"extract_affine on a {cls.value} expression")
     M = jacobian(e, leaves)
     c = _replace_leaves(e, {id(l): _ZERO for l in leaves})
@@ -1063,17 +1003,6 @@ def substitute(e, replacements: Mapping[str, object]) -> Expression:
                     f"expected ({leaf.block.rows}, {leaf.block.cols})"
                 )
             leaf_map[id(leaf)] = rep._n[leaf.row, leaf.col]
-    return _replace_leaves(e, leaf_map)
-
-
-def substitute_blocks(e: Expression, replacements: Mapping[int, Expression]) -> Expression:
-    """Like :func:`substitute` but keyed by ``id(LeafBlock)`` (internal use)."""
-    leaf_map: dict[int, Node] = {}
-    for n in e._n.flat:
-        for leaf in _deps(n):
-            rep = replacements.get(id(leaf.block))
-            if rep is not None:
-                leaf_map[id(leaf)] = rep._n[leaf.row, leaf.col]
     return _replace_leaves(e, leaf_map)
 
 
@@ -1155,9 +1084,8 @@ class CompiledFunction:
         )
 
     def __call__(self, *vectors) -> np.ndarray:
-        # Python floats, not numpy scalars, so each op follows the reference
-        # arithmetic of ``evaluate``: x / 0 and a negative base to a
-        # fractional power raise (a fault), not inf or NaN.
+        # Python floats, not numpy scalars, so x / 0 and a negative base to
+        # a fractional power raise (a fault) instead of giving inf or NaN.
         vectors = [np.asarray(v, dtype=float).tolist() for v in vectors]
         vals = self._init.copy()
         try:

@@ -289,11 +289,9 @@ class RobotModel:
         """
         qe, symbolic = self._normalize_q(q)
         qs = expr.variable("__robot_q", self.ndof)
-        block = qs.entries()[0].block
         T = self._fk(link, qs)
         stacked = expr.vertcat(T[0:3, 3], as_expression(spatial.matrix_to_rpy(T[0:3, 0:3])))
-        J = expr.jacobian(stacked, qs)
-        J = expr.substitute_blocks(J, {id(block): qe})
+        J = expr.substitute(expr.jacobian(stacked, qs), {"__robot_q": qe})
         return J if symbolic else expr.evaluate(J)
 
     def manipulability(self, link: str, q, rows=(0, 1, 2)):

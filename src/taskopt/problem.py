@@ -99,7 +99,6 @@ class Problem:
         nonlin_ineq: Expression | None,
         nonlin_eq: Expression | None,
         labels: dict[str, list[str]] | None = None,
-        cost_is_quadratic: bool | None = None,
     ):
         self.decision = decision
         self.parameters = parameters
@@ -163,14 +162,8 @@ class Problem:
 
         self.labels = labels or {"k": [], "a": [], "g": [], "h": []}
 
-        if cost_is_quadratic is None:
-            cls = expr.classify(objective_expr, x_leaves)
-            cost_is_quadratic = cls in (
-                expr.StructureClass.CONSTANT,
-                expr.StructureClass.LINEAR,
-                expr.StructureClass.QUADRATIC,
-            )
-        self._classification = self._classify(cost_is_quadratic)
+        cost_class = expr.classify(objective_expr, x_leaves)
+        self._classification = self._classify(cost_class <= expr.StructureClass.QUADRATIC)
 
     def _classify(self, quad_cost: bool) -> ProblemClass:
         if self.n_g + self.n_h > 0:

@@ -201,7 +201,6 @@ class SQPSolver(SolverAdapter):
         step_hist = [0.0]
         self.converged = False
         self.termination = "max-iterations"
-        self.trace: list[dict] = []
 
         d_prev = np.zeros(n)
         y_prev = np.zeros(m_in + m_eq)
@@ -274,17 +273,11 @@ class SQPSolver(SolverAdapter):
                     B = _psd_projection(prob.hessian(x, params), relative_floor=0.0)
                     obj_hist.append(f)
                     step_hist.append(0.0)
-                    self.trace.append(
-                        {"kkt": kkt, "alpha": 0.0, "step": 0.0, "mu": mu, "elastic": elastic}
-                    )
                     continue
                 self.converged = kkt <= opts.constraint_tolerance
                 self.termination = "line-search-failure"
                 obj_hist.append(f)
                 step_hist.append(0.0)
-                self.trace.append(
-                    {"kkt": kkt, "alpha": 0.0, "step": 0.0, "mu": mu, "elastic": elastic}
-                )
                 break
             ls_failures = 0
 
@@ -311,9 +304,6 @@ class SQPSolver(SolverAdapter):
             step = float(np.abs(s).max(initial=0.0))
             obj_hist.append(prob.objective(x_new, params))
             step_hist.append(step)
-            self.trace.append(
-                {"kkt": kkt, "alpha": alpha, "step": step, "mu": mu, "elastic": elastic}
-            )
             x = x_new
 
             if step <= opts.step_tolerance:

@@ -1,4 +1,7 @@
-"""Property-based checks of the compiled evaluator and the splitting QP solver."""
+"""Property-based checks of the compiled evaluator, row routing and the splitting QP solver."""
+
+import math
+import operator
 
 import numpy as np
 import pytest
@@ -32,14 +35,9 @@ def _raw_const(v: float) -> Node:
     return Node(expr._CONST, val=v)
 
 
-@st.composite
-def dags(draw):
-    """A matrix expression over x (3) and p (2) with many constant outputs."""
-    x = to.variable("x", 3)
-    p = to.parameter("p", 2)
-    pool = [x._n[i, 0] for i in range(3)] + [p._n[j, 0] for j in range(2)]
-    pool += [_raw_const(v) for v in draw(st.lists(_values, min_size=1, max_size=3))]
-    for _ in range(draw(st.integers(1, 15))):
+def _grow(draw, pool, max_ops=15):
+    """Append 1 to ``max_ops`` random nodes over ``pool`` to it, covering all 13 opcodes."""
+    for _ in range(draw(st.integers(1, max_ops))):
         kind = draw(st.sampled_from(("unary", "binary", "pow")))
         a = draw(st.sampled_from(pool))
         if kind == "unary":
@@ -49,11 +47,74 @@ def dags(draw):
         else:
             node = expr._pow(a, expr._const(draw(st.sampled_from(_EXPONENTS))))
         pool.append(node)
+    return pool
+
+
+@st.composite
+def dags(draw):
+    """A matrix expression over x (3) and p (2) with many constant outputs."""
+    x = to.variable("x", 3)
+    p = to.parameter("p", 2)
+    pool = [x._n[i, 0] for i in range(3)] + [p._n[j, 0] for j in range(2)]
+    pool += [_raw_const(v) for v in draw(st.lists(_values, min_size=1, max_size=3))]
+    _grow(draw, pool)
     zeros = [_raw_const(0.0), _raw_const(-0.0), _raw_const(2.5)]
     rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     out = st.one_of(st.sampled_from(pool), st.sampled_from(zeros))
     nodes = np.array([draw(out) for _ in range(rows * cols)], dtype=object)
     return Expression(nodes.reshape(rows, cols))
+
+
+def _reference_sqrt(a):
+    if a < 0.0:
+        # tolerate -0-ish roundoff from e.g. det(J J^T)
+        return 0.0 if a > -1e-12 else math.nan
+    return math.sqrt(a)
+
+
+_REFERENCE_OPS = {
+    expr._NEG: operator.neg,
+    expr._SIN: math.sin,
+    expr._COS: math.cos,
+    expr._TAN: math.tan,
+    expr._SQRT: _reference_sqrt,
+    expr._EXP: math.exp,
+    expr._LOG: lambda a: math.log(a) if a > 0.0 else math.nan,
+    expr._ADD: operator.add,
+    expr._SUB: operator.sub,
+    expr._MUL: operator.mul,
+    expr._DIV: operator.truediv,
+    expr._POW: math.pow,
+    expr._ATAN2: math.atan2,
+}
+
+
+def _reference_evaluate(e, bindings):
+    """Recursive per-node walk, independent of the compiled tape.
+
+    Unlike the tape, a fault (a raising op) makes only the entries that
+    depend on it NaN.
+    """
+    vals = {}
+
+    def value(n):
+        if id(n) not in vals:
+            if n.op == expr._CONST:
+                v = n.val
+            elif n.op == expr._LEAF:
+                block = n.block
+                arr = np.asarray(bindings[block.name], dtype=float)
+                v = float(arr.reshape(block.rows, block.cols)[n.row, n.col])
+            else:
+                args = (value(n.a),) if n.b is None else (value(n.a), value(n.b))
+                try:
+                    v = _REFERENCE_OPS[n.op](*args)
+                except (ArithmeticError, ValueError):
+                    v = math.nan
+            vals[id(n)] = v
+        return vals[id(n)]
+
+    return np.array([[value(n) for n in row] for row in e._n], dtype=float)
 
 
 class TestCompiledFunction:
@@ -65,13 +126,16 @@ class TestCompiledFunction:
     )
     def test_matches_evaluate_bit_for_bit(self, e, xv, pv):
         xv, pv = np.array(xv), np.array(pv)
-        ref = to.evaluate(e, {"x": xv, "p": pv})
+        ref = _reference_evaluate(e, {"x": xv, "p": pv})
         out = CompiledFunction(e, _LAYOUTS)(xv, pv)
         assert out.shape == ref.shape and out.dtype == ref.dtype
+        evaluated = to.evaluate(e, {"x": xv, "p": pv})
+        assert evaluated.shape == out.shape and evaluated.dtype == out.dtype
+        assert evaluated.tobytes() == out.tobytes()
         if out.tobytes() != ref.tobytes():
             # the one permitted difference is the fault rule: a raising op
-            # makes the compiled output all NaN, while evaluate only puts
-            # NaN at the entries that depend on it
+            # makes the compiled output all NaN, while the reference only
+            # puts NaN at the entries that depend on it
             event("fault")
             assert np.isnan(out).all() and np.isnan(ref).any()
 
@@ -87,8 +151,9 @@ class TestCompiledFunction:
         assert ok[2, 0] == 0.0 and np.signbit(ok[2, 0])
 
         assert np.isnan(fn(np.array([1.0, 1.0, 0.0]), p)).all()
-        ref = to.evaluate(e, {"x": [1.0, 1.0, 0.0]})
+        ref = _reference_evaluate(e, {"x": [1.0, 1.0, 0.0]})
         assert ref[0, 0] == 2.0 and np.isnan(ref[1, 0])
+        assert np.isnan(to.evaluate(e, {"x": [1.0, 1.0, 0.0]})).all()
 
     def test_fractional_power_of_negative_base_faults(self):
         x = to.variable("x", 3)
@@ -100,11 +165,70 @@ class TestCompiledFunction:
 
         assert fn(np.array([5.0, 1.0, 0.0]), p).ravel().tolist() == [1.0, 2.0, 0.125]
         assert np.isnan(fn(np.array([1.0, 5.0, 0.0]), p)).all()
-        ref = to.evaluate(e, {"x": [1.0, 5.0, 0.0]})
+        ref = _reference_evaluate(e, {"x": [1.0, 5.0, 0.0]})
         assert ref[0, 0] == 1.0 and np.isnan(ref[1:, 0]).all()
+        assert np.isnan(to.evaluate(e, {"x": [1.0, 5.0, 0.0]})).all()
         # an all-constant power folds to a NaN-producing node, not a complex constant
         folded = to.evaluate(Expression(np.array([[expr._pow(_raw_const(-4.0), expr._const(0.5))]])))
         assert np.isnan(folded).all()
+
+
+@st.composite
+def routed_tasks(draw):
+    """A TaskBuilder with one constraint per random DAG row over its own x (3) and p (2).
+
+    Returns the builder, the decision block and ``(name, row)`` pairs.  One
+    row always depends on parameters only.
+    """
+    b = to.TaskBuilder(T=1)
+    x = b.add_decision_variables("x", 3)
+    p = b.add_parameter("p", 2)
+    p_leaves = [p._n[j, 0] for j in range(2)]
+    pool = [x._n[i, 0] for i in range(3)] + p_leaves
+    pool += [expr._const(v) for v in draw(st.lists(_values, min_size=1, max_size=3))]
+    _grow(draw, pool, max_ops=8)
+    candidates = [n for n in pool if expr._deps(n)]
+    nodes = draw(st.lists(st.sampled_from(candidates), min_size=1, max_size=6))
+    nodes.append(draw(st.sampled_from(_grow(draw, list(p_leaves), max_ops=3))))
+    rows = []
+    for i, node in enumerate(nodes):
+        row, name = Expression(np.array([[node]], dtype=object)), f"r{i}"
+        if draw(st.booleans()):
+            b.add_equality_constraint(name, row)
+        else:
+            b.add_leq_inequality_constraint(name, 0.0, row)
+        rows.append((name, row))
+    return b, x, rows
+
+
+class TestRouting:
+    @_PROPERTY
+    @given(
+        task=routed_tasks(),
+        xv=st.lists(_values, min_size=3, max_size=3),
+        pv=st.lists(_values, min_size=2, max_size=2),
+    )
+    def test_rows_route_by_classify_and_linear_rows_are_affine(self, task, xv, pv):
+        b, x, rows = task
+        prob = b.build()
+        X, P = np.array(xv), np.array(pv)
+        affine = {"k": prob.lin_ineq(P), "a": prob.lin_eq(P)}
+        for name, row in rows:
+            (part,) = [k for k, names in prob.labels.items() if name in names]
+            cls = to.classify(row, x)
+            event(f"{cls.value} row")
+            assert (part in affine) == (cls <= to.StructureClass.LINEAR)
+            if part not in affine:
+                continue
+            M, c = affine[part]
+            want = to.evaluate(row, {"x": X, "p": P})[0, 0]
+            if np.isnan(M).all() or np.isnan(c).all() or not np.isfinite(want):
+                # a fault in any row of a partition makes its M or c all NaN
+                event("fault")
+                continue
+            i = prob.labels[part].index(name)
+            got = M[i] @ X + c[i]
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 
 def _mixed_qp(rng, n, m_in, m_eq):
