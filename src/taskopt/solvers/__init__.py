@@ -10,11 +10,11 @@ from .base import (
     interpolate,
     register_solver,
 )
-from .admm import OperatorSplittingQP, QPResult, solve_qp
 from .bfgs import QuasiNewtonSolver
+from .qp import ActiveSetQP, QPResult, solve_qp
 from .sqp import SQPSolver
 
-register_solver("qp", OperatorSplittingQP)
+register_solver("qp", ActiveSetQP)
 register_solver("bfgs", QuasiNewtonSolver)
 register_solver("sqp", SQPSolver)
 
@@ -27,7 +27,7 @@ __all__ = [
     "available_solvers",
     "interpolate",
     "register_solver",
-    "OperatorSplittingQP",
+    "ActiveSetQP",
     "QuasiNewtonSolver",
     "SQPSolver",
     "QPResult",

@@ -32,8 +32,13 @@ __all__ = [
 class SolverOptions:
     """Tuning knobs shared by the native algorithms.
 
-    The ``qp_*`` entries drive the operator-splitting QP iteration, both
-    standalone and inside SQP subproblems.
+    ``max_iterations``, ``step_tolerance``, ``constraint_tolerance`` and the
+    line-search entries (``armijo_coeff``, ``backtrack_factor``,
+    ``max_backtracks``) drive the BFGS and SQP outer iterations.  The
+    ``qp_*`` entries drive the active-set QP, both standalone and inside SQP
+    subproblems: ``qp_max_iterations`` caps its working-set changes, and a
+    bound counts as violated by more than ``qp_absolute_tolerance +
+    qp_relative_tolerance * max|Cx|``.
     """
 
     max_iterations: int = 100
@@ -42,9 +47,6 @@ class SolverOptions:
     armijo_coeff: float = 1e-4
     backtrack_factor: float = 0.5
     max_backtracks: int = 30
-    qp_penalty: float = 0.1
-    qp_regularization: float = 1e-6
-    qp_relaxation: float = 1.6
     qp_max_iterations: int = 4000
     qp_absolute_tolerance: float = 1e-8
     qp_relative_tolerance: float = 1e-8
@@ -54,8 +56,6 @@ class SolverOptions:
             "step_tolerance",
             "constraint_tolerance",
             "armijo_coeff",
-            "qp_penalty",
-            "qp_regularization",
             "qp_absolute_tolerance",
             "qp_relative_tolerance",
         )

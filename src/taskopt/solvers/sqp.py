@@ -1,23 +1,22 @@
 """Sequential quadratic programming with an l1 merit line search.
 
-Each iteration linearizes the constraints, solves a QP subproblem through
-the operator-splitting solver, and backtracks on the l1 merit function.
-The Lagrangian Hessian is modeled by damped BFGS, seeded from the exact
-cost Hessian projected to be positive definite (for sum-of-squares costs
-near a solution this coincides with a Gauss-Newton seed).  Infeasible
-subproblems are retried with elastic slacks weighted by 1e3 times the
-current penalty.
+Each iteration linearizes the constraints, solves the QP subproblem
+exactly with the dual active-set solver, warm-started from the previous
+iteration's multipliers, and backtracks on the l1 merit function.  The
+Lagrangian Hessian is modeled by damped BFGS, seeded from the exact cost
+Hessian projected to be positive definite (for sum-of-squares costs near a
+solution this coincides with a Gauss-Newton seed), so every subproblem is
+strictly convex.  Only a subproblem the QP certifies infeasible is solved
+again, with elastic slacks weighted by 1e3 times the current penalty.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
-from .admm import solve_qp
 from .base import SolverAdapter, SolverOptions, Stats
 from .bfgs import damped_bfgs_update
+from .qp import solve_qp
 
 __all__ = ["SQPSolver"]
 
@@ -109,47 +108,29 @@ class SQPSolver(SolverAdapter):
         return C_in, r_in, C_eq, r_eq
 
     # subproblem ----------------------------------------------------------
-    def _subproblem(self, B, grad, C_in, r_in, C_eq, r_eq, d0, y0, mu, kkt=np.inf):
+    def _subproblem(self, B, grad, C_in, r_in, C_eq, r_eq, y0, mu):
         """QP step: min 0.5 d'Bd + grad'd  s.t. C_in d >= -r_in, C_eq d = -r_eq.
 
-        The splitting tolerances tighten with the outer KKT residual so the
-        step stays accurate relative to the progress it must make.  Falls
-        back to an elastic (slack-relaxed) formulation when the iteration
-        fails to converge on the plain subproblem.
+        Falls back to an elastic (slack-relaxed) formulation only when the
+        plain subproblem is certified infeasible.
         """
         opts = self.options
-        if np.isfinite(kkt):
-            tol = float(np.clip(1e-3 * kkt, 1e-12, opts.qp_absolute_tolerance))
-            if tol < opts.qp_absolute_tolerance:
-                opts = replace(opts, qp_absolute_tolerance=tol, qp_relative_tolerance=tol)
         n = B.shape[0]
         m_in, m_eq = C_in.shape[0], C_eq.shape[0]
         C = np.vstack([C_in, C_eq]) if m_in + m_eq else np.zeros((0, n))
         lo = np.concatenate([-r_in, -r_eq])
         hi = np.concatenate([np.full(m_in, np.inf), -r_eq])
 
-        # best-effort bar: an almost-converged plain solve still gives a
-        # usable step; the bar scales with the outer residual since early
-        # steps only need accuracy relative to the progress they make
-        bar = max(1e-6, 100.0 * opts.qp_absolute_tolerance)
-        if np.isfinite(kkt):
-            bar = max(bar, 1e-3 * kkt)
-
-        res_warm = solve_qp(B, grad, C, lo, hi, x0=d0, y0=y0, options=opts)
-        if res_warm.converged or res_warm.max_residual <= bar:
-            return res_warm.x, res_warm.y, res_warm.iterations, False
-
-        # a stale warm start (active set changed) can stall the splitting
-        # iteration; a cold run distinguishes that from true infeasibility
-        res_cold = solve_qp(B, grad, C, lo, hi, options=opts)
-        if res_cold.converged or res_cold.max_residual <= bar:
-            return res_cold.x, res_cold.y, res_cold.iterations, False
+        res = solve_qp(B, grad, C, lo, hi, y0=y0, options=opts)
+        if res.termination != "infeasible":
+            return res.x, res.y, False
 
         # Elastic retry: one slack per inequality row, a split pair per
-        # equality row, all nonnegative and priced into the objective.
+        # equality row, all nonnegative and priced into the objective; the
+        # slacks' small curvature keeps the QP strictly convex.
         w = _ELASTIC_WEIGHT * max(mu, 1.0)
         n_aug = n + m_in + 2 * m_eq
-        H_aug = np.zeros((n_aug, n_aug))
+        H_aug = _MIN_EIGENVALUE * np.eye(n_aug)
         H_aug[:n, :n] = B
         q_aug = np.concatenate([grad, np.full(m_in + 2 * m_eq, w)])
 
@@ -177,7 +158,7 @@ class SQPSolver(SolverAdapter):
         hi_aug[r:] = np.inf
 
         res = solve_qp(H_aug, q_aug, C_aug, lo_aug, hi_aug, options=opts)
-        return res.x[:n], res.y[: m_in + m_eq], res.iterations, True
+        return res.x[:n], res.y[: m_in + m_eq], True
 
     # main loop -------------------------------------------------------------
     def solve(self, x0, params):
@@ -202,7 +183,6 @@ class SQPSolver(SolverAdapter):
         self.converged = False
         self.termination = "max-iterations"
 
-        d_prev = np.zeros(n)
         y_prev = np.zeros(m_in + m_eq)
         ls_failures = 0
         bad_updates = 0
@@ -226,16 +206,12 @@ class SQPSolver(SolverAdapter):
                 it -= 1
                 break
 
-            d, y, _, elastic = self._subproblem(
-                B, grad, C_in, r_in, C_eq, r_eq, d_prev, y_prev, mu, kkt=kkt
-            )
+            d, y, elastic = self._subproblem(B, grad, C_in, r_in, C_eq, r_eq, y_prev, mu)
             if not np.all(np.isfinite(d)):
                 self.termination = "nan"
                 it -= 1
                 break
-            d_prev = d.copy()
-            if y.size == y_prev.size:
-                y_prev = y.copy()
+            y_prev = y
 
             lam = np.maximum(-y[:m_in], 0.0)
             nu = -y[m_in:]

@@ -1,6 +1,8 @@
-"""The package's public names: ``taskopt.__all__`` is part of its stable API."""
+"""The package's public names: ``taskopt.__all__`` and ``taskopt.solvers.__all__``
+are part of its stable API."""
 
 import taskopt as to
+import taskopt.solvers
 
 _PUBLIC = [
     "BuildError",
@@ -60,3 +62,26 @@ def test_all_is_pinned_and_every_name_resolves():
     assert sorted(to.__all__) == _PUBLIC
     for name in to.__all__:
         assert hasattr(to, name), name
+
+
+_SOLVERS_PUBLIC = [
+    "ActiveSetQP",
+    "QPResult",
+    "QuasiNewtonSolver",
+    "SQPSolver",
+    "Solution",
+    "Solver",
+    "SolverAdapter",
+    "SolverOptions",
+    "Stats",
+    "available_solvers",
+    "interpolate",
+    "register_solver",
+    "solve_qp",
+]
+
+
+def test_solvers_all_is_pinned_and_every_name_resolves():
+    assert sorted(taskopt.solvers.__all__) == _SOLVERS_PUBLIC
+    for name in taskopt.solvers.__all__:
+        assert hasattr(taskopt.solvers, name), name

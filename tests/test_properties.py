@@ -1,18 +1,16 @@
-"""Property-based checks of the compiled evaluator, row routing and the splitting QP solver."""
+"""Property-based checks of the compiled evaluator, row routing and the active-set QP solver."""
 
 import math
 import operator
 
 import numpy as np
-import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import taskopt as to
 from taskopt import expr
 from taskopt.expr import CompiledFunction, Expression, Node
-from taskopt.solvers import SolverOptions
-from taskopt.solvers.admm import solve_qp
+from taskopt.solvers import solve_qp
 
 _PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
 
@@ -246,11 +244,14 @@ def _mixed_qp(rng, n, m_in, m_eq):
 
 @st.composite
 def mixed_qps(draw):
-    """``_mixed_qp`` with at most n rows, so the active rows stay linearly independent."""
+    """``_mixed_qp`` with up to 2n + 2 rows, the last a copy of another row."""
     n = draw(st.integers(2, 8))
     m_eq = draw(st.integers(0, n - 1))
-    m_in = draw(st.integers(1, n - m_eq))
-    return _mixed_qp(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n, m_in, m_eq)
+    m_in = draw(st.integers(1, 2 * n + 1 - m_eq))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    H, q, C, lo, hi = _mixed_qp(rng, n, m_in, m_eq)
+    i = draw(st.integers(0, m_in + m_eq - 1))
+    return H, q, np.vstack([C, C[i]]), np.append(lo, lo[i]), np.append(hi, hi[i])
 
 
 class TestSolveQP:
@@ -258,11 +259,7 @@ class TestSolveQP:
     @given(qp=mixed_qps())
     def test_kkt_conditions(self, qp):
         H, q, C, lo, hi = qp
-        # a penalty 1e3 below the default makes nearly every draw run past
-        # the first adaptation point (iteration 50) and refactor
-        res = solve_qp(H, q, C, lo, hi, options=SolverOptions(qp_penalty=1e-4))
-        if res.iterations > 50:
-            event("penalty adapted")
+        res = solve_qp(H, q, C, lo, hi)
         assert res.converged
         assert np.abs(H @ res.x + q + C.T @ res.y).max() <= 1e-5
         Cx = C @ res.x
@@ -270,14 +267,9 @@ class TestSolveQP:
         slack = np.minimum(Cx - lo, hi - Cx)
         assert np.abs(res.y * slack).max() <= 1e-5
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="known defect: solve_qp stalls at its iteration cap on some QPs with more rows than variables",
-    )
     def test_more_rows_than_variables(self):
         # n = 2 with 3 inequality rows and 1 equality row; the optimum is a
-        # vertex with one inequality and the equality active, yet the
-        # iteration stalls about 1e-2 away from it at the default penalty
+        # vertex with one inequality and the equality active
         H, q, C, lo, hi = _mixed_qp(np.random.default_rng(122), 2, 3, 1)
         res = solve_qp(H, q, C, lo, hi)
         assert res.converged

@@ -12,8 +12,8 @@ from taskopt.solvers import (
     available_solvers,
     interpolate,
     register_solver,
+    solve_qp,
 )
-from taskopt.solvers.admm import solve_qp
 
 
 def _ik_problem(regularizer=1e-8):
@@ -150,6 +150,32 @@ class TestQPSolver:
         b.add_cost_term("c", to.sumsqr(x))
         b.add_equality_constraint("sum", x[0, 0] + x[1, 0], 1.0)
         sol = Solver(b.build()).setup("qp").solve()
+        assert sol.success
+        assert np.abs(sol["x"].ravel() - 0.5).max() <= 1e-6
+
+    def test_contradictory_rows_fail(self):
+        # x0 + x1 <= -1 and x0 + x1 >= 1 cannot both hold
+        C = np.array([[1.0, 1.0], [1.0, 1.0]])
+        res = solve_qp(np.eye(2), np.zeros(2), C, [-np.inf, 1.0], [-1.0, np.inf])
+        assert not res.converged
+        b = to.TaskBuilder(1)
+        x = b.add_decision_variables("x", 2)
+        b.add_cost_term("c", to.sumsqr(x))
+        b.add_leq_inequality_constraint("up", x[0, 0] + x[1, 0], -1.0)
+        b.add_leq_inequality_constraint("down", 1.0, x[0, 0] + x[1, 0])
+        sol = Solver(b.build()).setup("qp").solve()
+        assert not sol.success
+
+    def test_flat_direction_cost(self):
+        # x0^2 + x1 is flat in x1 and unbounded below without the row
+        # x0 + x1 >= 1, so the Hessian is only semidefinite; optimum (0.5, 0.5)
+        b = to.TaskBuilder(1)
+        x = b.add_decision_variables("x", 2)
+        b.add_cost_term("c", to.sumsqr(x[0, 0]) + x[1, 0])
+        b.add_leq_inequality_constraint("floor", 1.0, x[0, 0] + x[1, 0])
+        p = b.build()
+        assert p.classification is ProblemClass.LINEAR_CONSTRAINED_QUADRATIC
+        sol = Solver(p).setup("qp").solve()
         assert sol.success
         assert np.abs(sol["x"].ravel() - 0.5).max() <= 1e-6
 
