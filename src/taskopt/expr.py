@@ -16,6 +16,9 @@ overflow, a domain error such as a negative base to a fractional power)
 gives an all-NaN output rather than raising.  Two domain rules give NaN
 without a fault, at the affected entries only: ``log`` of a value <= 0, and
 ``sqrt`` of a value below -1e-12; ``sqrt`` of a value in (-1e-12, 0) gives 0.
+Folded constants are never -0.0, and ``atan2`` reads a -0.0 argument as
++0.0, so for finite inputs the tape gives the values that substituting
+constants and folding would, apart from the sign of zero outputs.
 """
 
 from __future__ import annotations
@@ -756,9 +759,6 @@ def evaluate(e: Expression, bindings: Mapping[str, object] | None = None) -> np.
     so any arithmetic fault gives an all-NaN output.
     """
     e = as_expression(e)
-    if e.is_constant():
-        # numeric kinematics queries build constant graphs; skip the tape
-        return e.to_array()
     raw = bindings or {}
     layouts, vectors = [], []
     for block in e.leaf_blocks():
@@ -1122,8 +1122,8 @@ class CompiledFunction:
                     vals[pos] = math.log(v) if v > 0.0 else math.nan
                 elif op == _POW:
                     vals[pos] = math.pow(vals[ia], vals[ib])
-                else:  # _ATAN2
-                    vals[pos] = math.atan2(vals[ia], vals[ib])
+                else:  # _ATAN2, reading -0.0 as +0.0 as folded constants do
+                    vals[pos] = math.atan2(vals[ia] + 0.0, vals[ib] + 0.0)
         except (ArithmeticError, ValueError, OverflowError):
             return np.full(self.shape, np.nan)
         out = np.zeros(self.shape, dtype=float)

@@ -4,6 +4,17 @@ Builds symbolic forward kinematics, geometric and analytical Jacobians,
 and manipulability measures.  Joint states may be supplied symbolically
 (expressions, typically builder state columns) or numerically; numeric
 input yields numeric output.
+
+A numeric query is compiled lazily: its first call with numeric input
+builds the symbolic expression once, over a joint variable ``__robot_q``,
+and caches it as a :class:`~taskopt.expr.CompiledFunction` per (query,
+link, rows).  Later calls run the cached tape; registering a base offset
+or tip frame clears the cache.  For finite joint states the result is
+bit-identical to substituting the numbers into the symbolic expression
+(outputs never carry a -0.0).  Non-finite joint states follow the tape's
+rules, not constant folding's: the graph was simplified symbolically, so
+an entry whose expression lost its dependence on a joint (``0 * q``) stays
+finite where that joint is NaN or infinite, and any fault gives all-NaN.
 """
 
 from __future__ import annotations
@@ -85,6 +96,7 @@ class RobotModel:
 
         self._base_offset: Expression | None = None
         self._extra_tips: dict[str, tuple[str, Expression]] = {}
+        self._compiled: dict[tuple, expr.CompiledFunction] = {}
 
     def _actuated_under_base(self) -> list[UrdfJoint]:
         by_parent = self.urdf.joints_by_parent()
@@ -143,6 +155,7 @@ class RobotModel:
         if T.shape != (4, 4):
             raise ValueError("base offset must be a 4x4 transform")
         self._base_offset = T
+        self._compiled.clear()
         return self
 
     def register_tip(self, link_name: str, parent_link: str, transform) -> "RobotModel":
@@ -154,6 +167,7 @@ class RobotModel:
         if link_name in self.urdf.links or link_name in self._extra_tips:
             raise ValueError(f"link name {link_name!r} already in use")
         self._extra_tips[link_name] = (parent_link, T)
+        self._compiled.clear()
         return self
 
     def _resolve_parent(self, link: str) -> None:
@@ -161,12 +175,38 @@ class RobotModel:
             raise UrdfError(f"unknown link {link!r}")
 
     # forward kinematics ----------------------------------------------------
-    def _normalize_q(self, q) -> tuple[Expression, bool]:
-        symbolic = isinstance(q, Expression)
-        qe = as_expression(q).vec()
-        if qe.rows != self.ndof:
-            raise ValueError(f"joint state must have {self.ndof} entries, got {qe.rows}")
-        return qe, symbolic
+    def _check_ndof(self, rows: int) -> None:
+        if rows != self.ndof:
+            raise ValueError(f"joint state must have {self.ndof} entries, got {rows}")
+
+    def _normalize_q(self, q: Expression) -> Expression:
+        qe = q.vec()
+        self._check_ndof(qe.rows)
+        return qe
+
+    def _numeric(self, query, link: str, q, *args) -> np.ndarray:
+        """``query(link, q, *args)`` at numeric ``q``.
+
+        Runs a compiled function of the query, built on the first call and
+        cached per (query, link, args).
+        """
+        v = np.asarray(q, dtype=float)
+        if v.ndim > 2:
+            raise ValueError("constants are at most 2-D")
+        v = v.ravel(order="F")
+        self._check_ndof(v.size)
+        key = (query.__name__, link, args)
+        fn = self._compiled.get(key)
+        if fn is None:
+            qs = expr.variable("__robot_q", self.ndof)
+            e = as_expression(query(link, qs, *args))
+            for block in e.leaf_blocks():
+                if block is not qs._n[0, 0].block:
+                    raise KeyError(f"no binding for {block.kind} {block.name!r}")
+            fn = expr.CompiledFunction(e, [("variable", {"__robot_q": (0, self.ndof, 1)})])
+            self._compiled[key] = fn
+        # constant folding never makes a -0.0; + 0.0 turns the tape's into +0.0
+        return fn(v) + 0.0
 
     def _chain_to(self, link: str) -> tuple[list[UrdfJoint], Expression | None]:
         tip_T = None
@@ -206,19 +246,19 @@ class RobotModel:
 
     def global_link_transform(self, link: str, q):
         """4x4 pose of ``link`` in the world frame."""
-        qe, symbolic = self._normalize_q(q)
-        T = self._fk(link, qe)
-        return T if symbolic else expr.evaluate(T)
+        if not isinstance(q, Expression):
+            return self._numeric(self.global_link_transform, link, q)
+        return self._fk(link, self._normalize_q(q))
 
     def global_link_position(self, link: str, q):
-        qe, symbolic = self._normalize_q(q)
-        p = self._fk(link, qe)[0:3, 3]
-        return p if symbolic else expr.evaluate(p).ravel()
+        if not isinstance(q, Expression):
+            return self._numeric(self.global_link_position, link, q).ravel()
+        return self._fk(link, self._normalize_q(q))[0:3, 3]
 
     def global_link_rotation(self, link: str, q):
-        qe, symbolic = self._normalize_q(q)
-        R = self._fk(link, qe)[0:3, 0:3]
-        return R if symbolic else expr.evaluate(R)
+        if not isinstance(q, Expression):
+            return self._numeric(self.global_link_rotation, link, q)
+        return self._fk(link, self._normalize_q(q))[0:3, 0:3]
 
     def global_link_quaternion(self, link: str, q):
         """Unit quaternion (x, y, z, w) of the link orientation.
@@ -226,7 +266,9 @@ class RobotModel:
         Built by chaining per-joint axis-angle quaternions, so it stays
         smooth in the joint state (no matrix branch selection involved).
         """
-        qe, symbolic = self._normalize_q(q)
+        if not isinstance(q, Expression):
+            return self._numeric(self.global_link_quaternion, link, q).ravel()
+        qe = self._normalize_q(q)
         chain, tip_T = self._chain_to(link)
         quat = None
 
@@ -238,7 +280,8 @@ class RobotModel:
         for joint in chain:
             rpy = np.array(joint.origin_rpy)
             if np.any(rpy != 0.0):
-                quat = compose(quat, matrix_quat_numeric(rpy))
+                R = spatial.rpy_to_matrix(rpy)
+                quat = compose(quat, expr.constant(spatial.matrix_to_quaternion(R)))
             if joint.actuated and joint.type in ("revolute", "continuous"):
                 qi = qe[self._joint_index[joint.name], 0]
                 half = 0.5 * qi
@@ -250,20 +293,19 @@ class RobotModel:
             quat = compose(quat, spatial.matrix_to_quaternion(tip_T[0:3, 0:3]))
         if quat is None:
             quat = expr.constant(np.array([0.0, 0.0, 0.0, 1.0]))
-        quat = as_expression(quat)
-        return quat if symbolic else expr.evaluate(quat).ravel()
+        return as_expression(quat)
 
     def global_link_rpy(self, link: str, q):
-        qe, symbolic = self._normalize_q(q)
-        R = self._fk(link, qe)[0:3, 0:3]
-        rpy = spatial.matrix_to_rpy(R)
-        return rpy if symbolic else expr.evaluate(as_expression(rpy)).ravel()
+        if not isinstance(q, Expression):
+            return self._numeric(self.global_link_rpy, link, q).ravel()
+        return spatial.matrix_to_rpy(self._fk(link, self._normalize_q(q))[0:3, 0:3])
 
     # jacobians ---------------------------------------------------------------
     def geometric_jacobian(self, link: str, q):
         """6 x ndof Jacobian, rows (linear velocity; angular velocity)."""
-        qe, symbolic = self._normalize_q(q)
-        T, axes = self._fk(link, qe, want_jacobian_data=True)
+        if not isinstance(q, Expression):
+            return self._numeric(self.geometric_jacobian, link, q)
+        T, axes = self._fk(link, self._normalize_q(q), want_jacobian_data=True)
         p_e = T[0:3, 3]
         zero3 = expr.constant(np.zeros(3))
         cols = []
@@ -278,8 +320,7 @@ class RobotModel:
             else:
                 lin = as_expression(spatial.cross(z, p_e - p))
                 cols.append(expr.vertcat(lin, z))
-        J = expr.horzcat(*cols) if cols else expr.constant(np.zeros((6, 0)))
-        return J if symbolic else expr.evaluate(J)
+        return expr.horzcat(*cols) if cols else expr.constant(np.zeros((6, 0)))
 
     def analytical_jacobian(self, link: str, q):
         """Jacobian of (position, rpy) by automatic differentiation.
@@ -287,27 +328,21 @@ class RobotModel:
         Evaluation near the rpy pitch singularity (+-pi/2) produces large
         values; that representation limit is not trapped here.
         """
-        qe, symbolic = self._normalize_q(q)
+        if not isinstance(q, Expression):
+            return self._numeric(self.analytical_jacobian, link, q)
+        qe = self._normalize_q(q)
         qs = expr.variable("__robot_q", self.ndof)
         T = self._fk(link, qs)
-        stacked = expr.vertcat(T[0:3, 3], as_expression(spatial.matrix_to_rpy(T[0:3, 0:3])))
-        J = expr.substitute(expr.jacobian(stacked, qs), {"__robot_q": qe})
-        return J if symbolic else expr.evaluate(J)
+        stacked = expr.vertcat(T[0:3, 3], spatial.matrix_to_rpy(T[0:3, 0:3]))
+        return expr.substitute(expr.jacobian(stacked, qs), {"__robot_q": qe})
 
     def manipulability(self, link: str, q, rows=(0, 1, 2)):
         """sqrt(det(J_sel J_sel^T)) over the selected Jacobian rows (max 3)."""
         rows = tuple(rows)
         if not rows or len(rows) > 3 or any(r < 0 or r > 5 for r in rows):
             raise ValueError("rows must select between 1 and 3 of the 6 Jacobian rows")
-        qe, symbolic = self._normalize_q(q)
-        J = self.geometric_jacobian(link, qe)
+        if not isinstance(q, Expression):
+            return float(self._numeric(self.manipulability, link, q, rows)[0, 0])
+        J = self.geometric_jacobian(link, self._normalize_q(q))
         J_sel = Expression(J._n[list(rows), :])
-        G = J_sel @ J_sel.T
-        m = expr.sqrt(expr.det(G))
-        return m if symbolic else float(expr.evaluate(m)[0, 0])
-
-
-def matrix_quat_numeric(rpy: np.ndarray):
-    """Constant quaternion of numeric rpy, as an expression."""
-    R = spatial.rpy_to_matrix(rpy)
-    return expr.constant(spatial.matrix_to_quaternion(R))
+        return expr.sqrt(expr.det(J_sel @ J_sel.T))

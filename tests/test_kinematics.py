@@ -262,3 +262,107 @@ class TestOracleAgreement:
             qv = rng.uniform(-np.pi, np.pi, 2)
             J = planar2r.geometric_jacobian("ee", qv)
             assert np.abs(J[:2] - planar_jacobian(qv)).max() <= 1e-12
+
+
+_QUERIES = (
+    "global_link_transform",
+    "global_link_position",
+    "global_link_rotation",
+    "global_link_quaternion",
+    "global_link_rpy",
+    "geometric_jacobian",
+    "analytical_jacobian",
+    "manipulability",
+)
+
+
+class TestCompiledQueries:
+    def test_base_offset_after_a_query_moves_the_pose(self):
+        r = to.RobotModel(to.fixture_path("planar2r"), tip="ee")
+        qv = [0.2, 0.3]
+        p0 = r.global_link_position("ee", qv)
+        T0 = r.global_link_transform("ee", qv)
+        r.register_base_offset(spatial.transform_from(None, [1.0, 0.0, 0.0]))
+        assert np.allclose(r.global_link_position("ee", qv), p0 + [1.0, 0.0, 0.0])
+        assert np.allclose(r.global_link_transform("ee", qv)[:3, 3], T0[:3, 3] + [1.0, 0.0, 0.0])
+        r.register_base_offset(spatial.transform_from(spatial.rotation_z(np.pi / 2), None))
+        assert np.allclose(r.global_link_position("ee", qv), [-p0[1], p0[0], 0.0])
+
+    def test_register_tip_after_a_query(self):
+        r = to.RobotModel(to.fixture_path("planar2r"), tip="ee")
+        p_ee = r.global_link_position("ee", [0.0, 0.0])
+        with pytest.raises(to.UrdfError):
+            r.global_link_position("tool", [0.0, 0.0])
+        r.register_tip("tool", "ee", spatial.transform_from(None, [0.0, 0.1, 0.0]))
+        assert np.allclose(r.global_link_position("tool", [0.0, 0.0]), [2.0, 0.1, 0.0])
+        assert r.global_link_position("ee", [0.0, 0.0]).tobytes() == p_ee.tobytes()
+
+    def test_repeated_query_reuses_one_compiled_function(self, arm6):
+        r = to.RobotModel(to.fixture_path("arm6"), tip="ee")
+        rng = np.random.default_rng(11)
+        for _ in range(3):
+            qv = rng.uniform(-np.pi, np.pi, 6)
+            r.global_link_position("ee", qv)
+            r.manipulability("ee", qv, rows=(0, 1))
+            r.manipulability("ee", qv)
+            p = r.global_link_position("ee", qv)
+            assert p.tobytes() == arm6.global_link_position("ee", qv).tobytes()
+        assert len(r._compiled) == 3
+
+    def test_unbound_tip_parameter_keeps_key_error(self):
+        r = to.RobotModel(to.fixture_path("planar2r"), tip="ee")
+        r.register_tip("tool", "ee", to.parameter("T", 4, 4))
+        queries = [(getattr(r, name), {}) for name in _QUERIES[:-1]]
+        # rows (0, 1, 2) of a planar arm fold to a constant 0, T or not
+        queries.append((r.manipulability, {"rows": (0, 1)}))
+        for query, kwargs in queries:
+            with pytest.raises(KeyError) as err:
+                query("tool", [0.1, 0.2], **kwargs)
+            assert err.value.args == ("no binding for parameter 'T'",)
+        assert not r._compiled
+
+    def test_wrong_length_q_keeps_value_error(self, planar2r):
+        for q in ([0.1, 0.2, 0.3], np.zeros((1, 1, 2)), to.variable("q", 3)):
+            for name in _QUERIES:
+                with pytest.raises(ValueError):
+                    getattr(planar2r, name)("ee", q)
+        with pytest.raises(ValueError, match="joint state must have 2 entries, got 3"):
+            planar2r.global_link_position("ee", [0.1, 0.2, 0.3])
+
+    def test_unknown_link_keeps_urdf_error(self):
+        r = to.RobotModel(to.fixture_path("planar2r"), tip="ee")
+        for name in _QUERIES:
+            for q in ([0.1, 0.2], to.variable("q", 2)):
+                with pytest.raises(to.UrdfError):
+                    getattr(r, name)("ghost", q)
+        assert not r._compiled
+
+    def test_bad_rows_keep_value_error(self):
+        r = to.RobotModel(to.fixture_path("arm6"), tip="ee")
+        for rows in ((), (0, 1, 2, 3), (6,), (-1, 0)):
+            for q in (np.zeros(6), to.variable("q", 6)):
+                with pytest.raises(ValueError, match="rows must select"):
+                    r.manipulability("ee", q, rows=rows)
+        assert not r._compiled
+
+    def test_non_finite_joint_state(self, arm6):
+        """The compiled graph, not constant folding, decides which entries a NaN reaches."""
+        shapes = {
+            "global_link_transform": (4, 4),
+            "global_link_position": (3,),
+            "global_link_rotation": (3, 3),
+            "global_link_quaternion": (4,),
+            "global_link_rpy": (3,),
+            "geometric_jacobian": (6, 6),
+            "analytical_jacobian": (6, 6),
+        }
+        for bad in (np.nan, np.inf, -np.inf):
+            qv = np.array([bad, 0.3, -0.4, 0.5, 0.6, -0.7])
+            for name, shape in shapes.items():
+                assert getattr(arm6, name)("ee", qv).shape == shape
+            assert isinstance(arm6.manipulability("ee", qv), float)
+        # joint 0 turns about the vertical axis, so the height does not depend on it
+        qv = np.array([np.nan, 0.3, -0.4, 0.5, 0.6, -0.7])
+        p = arm6.global_link_position("ee", qv)
+        assert np.isnan(p[:2]).all()
+        assert p[2] == arm6.global_link_position("ee", np.r_[0.0, qv[1:]])[2]

@@ -1,5 +1,6 @@
-"""Property-based checks of the compiled evaluator, row routing and the active-set QP solver."""
+"""Property-based checks of the compiled evaluator, numeric kinematics, row routing and the QP."""
 
+import functools
 import math
 import operator
 
@@ -83,7 +84,8 @@ _REFERENCE_OPS = {
     expr._MUL: operator.mul,
     expr._DIV: operator.truediv,
     expr._POW: math.pow,
-    expr._ATAN2: math.atan2,
+    # a -0.0 argument reads as +0.0, as every folded constant is
+    expr._ATAN2: lambda a, b: math.atan2(a + 0.0, b + 0.0),
 }
 
 
@@ -169,6 +171,70 @@ class TestCompiledFunction:
         # an all-constant power folds to a NaN-producing node, not a complex constant
         folded = to.evaluate(Expression(np.array([[expr._pow(_raw_const(-4.0), expr._const(0.5))]])))
         assert np.isnan(folded).all()
+
+    def test_atan2_reads_negative_zero_as_positive(self):
+        x = to.variable("x", 3)
+        e = to.vertcat(to.atan2(x[0, 0], x[1, 0]), to.atan2(x[1, 0], x[2, 0]))
+        out = CompiledFunction(e, _LAYOUTS)(np.array([-0.0, -1.0, -0.0]), np.zeros(2))
+        # IEEE atan2 gives -pi and -pi / 2 here; folded constants give these
+        assert out.ravel().tolist() == [math.pi, -math.pi / 2]
+        zero = to.constant(-0.0)
+        folded = to.evaluate(to.vertcat(to.atan2(zero, -1.0), to.atan2(-1.0, zero)))
+        assert folded.tobytes() == out.tobytes()
+
+
+_QUERIES = (
+    "global_link_transform",
+    "global_link_position",
+    "global_link_rotation",
+    "global_link_quaternion",
+    "global_link_rpy",
+    "geometric_jacobian",
+    "analytical_jacobian",
+)
+_MANIPULABILITY_ROWS = ((0, 1, 2), (0, 1), (3, 4, 5), (2, 4), (5,))
+# exact zeros and quarter turns make entries of the rotations exactly 0 or +-1
+_joint_values = st.one_of(
+    st.sampled_from((0.0, -0.0, math.pi / 2, -math.pi / 2, math.pi, -math.pi)),
+    st.floats(-4.0, 4.0, allow_nan=False),
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _robot(fixture):
+    return to.RobotModel(to.fixture_path(fixture), tip="ee")
+
+
+@functools.lru_cache(maxsize=None)
+def _symbolic_queries(fixture, link):
+    """``(name, rows, expression)`` for every query on ``link``, over ``__robot_q``."""
+    robot = _robot(fixture)
+    qs = to.variable("__robot_q", robot.ndof)
+    out = [(name, None, expr.as_expression(getattr(robot, name)(link, qs))) for name in _QUERIES]
+    for rows in _MANIPULABILITY_ROWS:
+        out.append(("manipulability", rows, robot.manipulability(link, qs, rows)))
+    return out
+
+
+class TestKinematics:
+    @_PROPERTY
+    @given(
+        q2=st.lists(_joint_values, min_size=2, max_size=2),
+        q6=st.lists(_joint_values, min_size=6, max_size=6),
+    )
+    def test_numeric_queries_match_substituted_symbolic(self, q2, q6):
+        for fixture, q in (("planar2r", np.array(q2)), ("arm6", np.array(q6))):
+            robot = _robot(fixture)
+            for link in robot.urdf.links:
+                for name, rows, sym in _symbolic_queries(fixture, link):
+                    want = to.evaluate(to.substitute(sym, {"__robot_q": to.constant(q)}))
+                    if rows is None:
+                        got = getattr(robot, name)(link, q)
+                    else:
+                        got = robot.manipulability(link, q, rows)
+                    got = np.asarray(got, dtype=float)
+                    assert got.dtype == want.dtype and got.size == want.size
+                    assert got.tobytes() == want.tobytes(), (fixture, link, name, rows)
 
 
 @st.composite
