@@ -10,14 +10,18 @@ Differentiation is forward-mode and symbolic: ``jacobian`` returns a new
 expression that can be evaluated repeatedly or differentiated again for
 higher orders.
 
-Numeric evaluation has one engine, the tape of :class:`CompiledFunction`,
-which :func:`evaluate` also runs.  Any arithmetic fault (division by zero,
-overflow, a domain error such as a negative base to a fractional power)
-gives an all-NaN output rather than raising.  Two domain rules give NaN
-without a fault, at the affected entries only: ``log`` of a value <= 0, and
-``sqrt`` of a value below -1e-12; ``sqrt`` of a value in (-1e-12, 0) gives 0.
+Numeric evaluation runs through :class:`CompiledFunction`, in two tiers
+with one set of semantics: a function's first call interprets its tape,
+and its second call generates straight-line Python source from the tape,
+which that call and every later one run.  :func:`evaluate` calls a fresh
+function once, so it runs the tape.  The two tiers give bit-identical
+outputs.  Any arithmetic fault (division by zero, overflow, a domain error
+such as a negative base to a fractional power) gives an all-NaN output
+rather than raising.  Two domain rules give NaN without a fault, at the
+affected entries only: ``log`` of a value <= 0, and ``sqrt`` of a value
+below -1e-12; ``sqrt`` of a value in (-1e-12, 0) gives 0.
 Folded constants are never -0.0, and ``atan2`` reads a -0.0 argument as
-+0.0, so for finite inputs the tape gives the values that substituting
++0.0, so for finite inputs both tiers give the values that substituting
 constants and folding would, apart from the sign of zero outputs.
 """
 
@@ -1008,15 +1012,77 @@ def substitute(e, replacements: Mapping[str, object]) -> Expression:
 
 # -- compiled evaluation --------------------------------------------------------
 
+# The call of a CompiledFunction that generates its straight-line code.
+# Earlier calls run the tape: many functions (``evaluate``, a transcription's
+# one call per build) are called once, and generating a large Hessian costs
+# far more than one tape run.
+_GENERATE_ON_CALL = 2
+# Characters of source per ``compile()``.  Compiling holds 170-190 bytes
+# per character of source at its peak: compiling the 205k characters of
+# the T=10 mpc task's Hessian at once raises peak memory by 35 MB.
+_CHUNK_CHARS = 4096
+# A node with one consumer is inlined into the consumer's expression while
+# that nests at most this deep, well inside the parser's 200 parentheses.
+_INLINE_DEPTH = 40
+
+
+def _domain_sqrt(v: float) -> float:
+    if v < 0.0:
+        return 0.0 if v > -1e-12 else math.nan
+    return math.sqrt(v)
+
+
+def _domain_log(v: float) -> float:
+    return math.log(v) if v > 0.0 else math.nan
+
+
+# Source template of each opcode.  Every operand is a name, a subscript, a
+# call, a parenthesised expression or a literal (whose sign binds tighter
+# than any operator here), so no template depends on operator precedence.
+_SOURCE = {
+    _NEG: "(-{0})",
+    _SIN: "sin({0})",
+    _COS: "cos({0})",
+    _TAN: "tan({0})",
+    _SQRT: "sqrt({0})",
+    _EXP: "exp({0})",
+    _LOG: "log({0})",
+    _ADD: "({0} + {1})",
+    _SUB: "({0} - {1})",
+    _MUL: "({0} * {1})",
+    _DIV: "({0} / {1})",
+    _POW: "pow({0}, {1})",
+    # reads -0.0 as +0.0, as folded constants do
+    _ATAN2: "atan2({0} + 0.0, {1} + 0.0)",
+}
+_SOURCE_NAMES = {
+    "sin": math.sin,
+    "cos": math.cos,
+    "tan": math.tan,
+    "sqrt": _domain_sqrt,
+    "exp": math.exp,
+    "log": _domain_log,
+    "pow": math.pow,
+    "atan2": math.atan2,
+}
+
 
 class CompiledFunction:
-    """Tape-compiled evaluator of an expression over flat input vectors.
+    """Compiled evaluator of an expression over flat input vectors.
 
     ``layouts`` is a sequence of ``(kind, {name: (offset, rows, cols)})``
     pairs, one per positional input vector.  Leaves are bound to
     ``vec[offset + col * rows + row]`` (column-major within each block).
     Any arithmetic fault during evaluation yields an all-NaN result rather
     than raising, so solvers can detect and report bad iterates.
+
+    Evaluation has two tiers with one set of semantics.  The first call
+    runs a tape, one ``(position, opcode, operand, operand)`` entry per DAG
+    node, through an interpreter loop.  The second call turns the tape into
+    straight-line Python source, compiled in chunks of about
+    ``_CHUNK_CHARS`` characters, and it and every later call run that
+    code.  Both tiers apply the same Python float operations in the same
+    order to every node, so their outputs are bit-identical.
     """
 
     def __init__(self, e: Expression, layouts: Sequence[tuple[str, Mapping[str, tuple[int, int, int]]]]):
@@ -1066,9 +1132,13 @@ class CompiledFunction:
                 const_idx.append(k)
                 const_val.append(n.val)
         self._var_idx = np.array(var_idx, dtype=np.intp)
+        self._var_pos = var_pos
         self._var_get = operator.itemgetter(*var_pos) if var_pos else None
         self._const_idx = np.array(const_idx, dtype=np.intp)
         self._const_val = np.array(const_val, dtype=float)
+
+        self._calls = 0
+        self._chunks = None  # the generated code, once made
 
     @staticmethod
     def _locate(leaf: Node, layouts):
@@ -1087,47 +1157,131 @@ class CompiledFunction:
         # Python floats, not numpy scalars, so x / 0 and a negative base to
         # a fractional power raise (a fault) instead of giving inf or NaN.
         vectors = [np.asarray(v, dtype=float).tolist() for v in vectors]
-        vals = self._init.copy()
+        if self._chunks is None:
+            self._calls += 1
+            if self._calls == _GENERATE_ON_CALL:
+                self._generate()
         try:
-            for pos, op, ia, ib in self._tape:
-                if op == _LEAF:
-                    vals[pos] = vectors[ia][ib]
-                elif op == _ADD:
-                    vals[pos] = vals[ia] + vals[ib]
-                elif op == _SUB:
-                    vals[pos] = vals[ia] - vals[ib]
-                elif op == _MUL:
-                    vals[pos] = vals[ia] * vals[ib]
-                elif op == _DIV:
-                    vals[pos] = vals[ia] / vals[ib]
-                elif op == _NEG:
-                    vals[pos] = -vals[ia]
-                elif op == _SIN:
-                    vals[pos] = math.sin(vals[ia])
-                elif op == _COS:
-                    vals[pos] = math.cos(vals[ia])
-                elif op == _TAN:
-                    vals[pos] = math.tan(vals[ia])
-                elif op == _SQRT:
-                    v = vals[ia]
-                    if v < 0.0:
-                        v = 0.0 if v > -1e-12 else math.nan
-                    else:
-                        v = math.sqrt(v)
-                    vals[pos] = v
-                elif op == _EXP:
-                    vals[pos] = math.exp(vals[ia])
-                elif op == _LOG:
-                    v = vals[ia]
-                    vals[pos] = math.log(v) if v > 0.0 else math.nan
-                elif op == _POW:
-                    vals[pos] = math.pow(vals[ia], vals[ib])
-                else:  # _ATAN2, reading -0.0 as +0.0 as folded constants do
-                    vals[pos] = math.atan2(vals[ia] + 0.0, vals[ib] + 0.0)
-        except (ArithmeticError, ValueError, OverflowError):
+            if self._chunks is None:
+                vals = self._run_tape(vectors)
+            else:
+                vals = [0.0] * self._n_slots
+                for chunk in self._chunks:
+                    chunk(vals, vectors)
+        except (ArithmeticError, ValueError):
             return np.full(self.shape, np.nan)
         out = np.zeros(self.shape, dtype=float)
-        out.flat[self._const_idx] = self._const_val
+        if self._const_idx.size:
+            out.flat[self._const_idx] = self._const_val
         if self._var_get is not None:
             out.flat[self._var_idx] = self._var_get(vals)
         return out
+
+    def _run_tape(self, vectors) -> list:
+        vals = self._init.copy()
+        for pos, op, ia, ib in self._tape:
+            if op == _LEAF:
+                vals[pos] = vectors[ia][ib]
+            elif op == _ADD:
+                vals[pos] = vals[ia] + vals[ib]
+            elif op == _SUB:
+                vals[pos] = vals[ia] - vals[ib]
+            elif op == _MUL:
+                vals[pos] = vals[ia] * vals[ib]
+            elif op == _DIV:
+                vals[pos] = vals[ia] / vals[ib]
+            elif op == _NEG:
+                vals[pos] = -vals[ia]
+            elif op == _SIN:
+                vals[pos] = math.sin(vals[ia])
+            elif op == _COS:
+                vals[pos] = math.cos(vals[ia])
+            elif op == _TAN:
+                vals[pos] = math.tan(vals[ia])
+            elif op == _SQRT:
+                vals[pos] = _domain_sqrt(vals[ia])
+            elif op == _EXP:
+                vals[pos] = math.exp(vals[ia])
+            elif op == _LOG:
+                vals[pos] = _domain_log(vals[ia])
+            elif op == _POW:
+                vals[pos] = math.pow(vals[ia], vals[ib])
+            else:  # _ATAN2, reading -0.0 as +0.0 as folded constants do
+                vals[pos] = math.atan2(vals[ia] + 0.0, vals[ib] + 0.0)
+        return vals
+
+    def _generate(self) -> None:
+        """Replace the tape by its straight-line code, compiled in chunks."""
+        head, lines, slots, names = self._source()
+        # the tape is not run again; release it before compiling
+        self._tape = self._init = None
+        chunks, body, size = [], [], 0
+        for k, line in enumerate(lines):
+            body.append(line)
+            size += len(line)
+            if size >= _CHUNK_CHARS or k == len(lines) - 1:
+                source = "def chunk(v, V):\n    " + "\n    ".join(head + body) + "\n"
+                exec(compile(source, "<CompiledFunction>", "exec"), names)
+                chunks.append(names.pop("chunk"))
+                body, size = [], 0
+        self._chunks = chunks
+        self._n_slots = len(lines)
+        self._var_get = operator.itemgetter(*(slots[p] for p in self._var_pos)) if self._var_pos else None
+
+    def _source(self):
+        """Statements over a list ``v`` of slots and input vectors ``V``.
+
+        A node that is an output or has several consumers gets a statement
+        ``v[k] = <expression>``; a single-use node is inlined into its
+        consumer's expression up to ``_INLINE_DEPTH``.  Leaves read
+        ``V<i>[j]`` in place, finite constants are literals, and non-finite
+        ones (whose repr is no literal) are bound by name.  Returns the
+        statements that bind the ``V<i>``, the slot statements, each
+        slotted tape position's slot, and the names the code reads.
+        """
+        tape, init = self._tape, self._init
+        names = dict(_SOURCE_NAMES)
+        uses = [0] * len(init)
+        for _, op, ia, ib in tape:
+            if op != _LEAF:
+                uses[ia] += 1
+                if op in _BINARY_OPS:
+                    uses[ib] += 1
+        outputs = set(self._var_pos)
+
+        # source text and nesting depth of each computed node; constants
+        # have no text and are spelled where they are read
+        text: list = [None] * len(init)
+        depth = [0] * len(init)
+
+        def operand(i: int) -> str:
+            if text[i] is not None:
+                return text[i]
+            if math.isfinite(init[i]):
+                return repr(init[i])
+            names[f"c{i}"] = init[i]
+            return f"c{i}"
+
+        slots: dict[int, int] = {}
+        lines: list[str] = []
+        for pos, op, ia, ib in tape:
+            if op == _LEAF:
+                src, d = f"V{ia}[{ib}]", 0
+            elif op in _BINARY_OPS:
+                src = _SOURCE[op].format(operand(ia), operand(ib))
+                d = max(depth[ia], depth[ib]) + 1
+            else:
+                src = _SOURCE[op].format(operand(ia))
+                d = depth[ia] + 1
+            if op != _LEAF:
+                # a single-use operand lives on only inside ``src``
+                for i in (ia, ib) if op in _BINARY_OPS else (ia,):
+                    if uses[i] == 1 and i not in slots:
+                        text[i] = None
+            if pos in outputs or (op != _LEAF and (uses[pos] != 1 or d > _INLINE_DEPTH)):
+                slots[pos] = len(lines)
+                lines.append(f"v[{slots[pos]}] = {src}")
+                src, d = f"v[{slots[pos]}]", 0
+            text[pos], depth[pos] = src, d
+        head = [f"V{i} = V[{i}]" for i in sorted({ia for _, op, ia, _ in tape if op == _LEAF})]
+        return head, lines, slots, names

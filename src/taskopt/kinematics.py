@@ -8,11 +8,11 @@ input yields numeric output.
 A numeric query is compiled lazily: its first call with numeric input
 builds the symbolic expression once, over a joint variable ``__robot_q``,
 and caches it as a :class:`~taskopt.expr.CompiledFunction` per (query,
-link, rows).  Later calls run the cached tape; registering a base offset
-or tip frame clears the cache.  For finite joint states the result is
+link, rows).  Later calls run the cached function (its tape, then its
+generated code); registering a base offset or tip frame clears the cache.  For finite joint states the result is
 bit-identical to substituting the numbers into the symbolic expression
-(outputs never carry a -0.0).  Non-finite joint states follow the tape's
-rules, not constant folding's: the graph was simplified symbolically, so
+(outputs never carry a -0.0).  Non-finite joint states follow the
+compiled function's rules, not constant folding's: the graph was simplified symbolically, so
 an entry whose expression lost its dependence on a joint (``0 * q``) stays
 finite where that joint is NaN or infinite, and any fault gives all-NaN.
 """
@@ -205,7 +205,7 @@ class RobotModel:
                     raise KeyError(f"no binding for {block.kind} {block.name!r}")
             fn = expr.CompiledFunction(e, [("variable", {"__robot_q": (0, self.ndof, 1)})])
             self._compiled[key] = fn
-        # constant folding never makes a -0.0; + 0.0 turns the tape's into +0.0
+        # constant folding never makes a -0.0; + 0.0 turns the compiled one's into +0.0
         return fn(v) + 0.0
 
     def _chain_to(self, link: str) -> tuple[list[UrdfJoint], Expression | None]:

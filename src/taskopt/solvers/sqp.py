@@ -87,7 +87,8 @@ class SQPSolver(SolverAdapter):
             total += float(np.maximum(-gv, 0.0).sum())
         return total
 
-    def _merit(self, x, params, M, c, A, b, mu) -> float:
+    def _merit(self, x, params, M, c, A, b, mu) -> tuple[float, float]:
+        """The objective at x and the l1 merit (inf where f is not finite)."""
         prob = self.problem
         f = prob.objective(x, params)
         kv = M @ x + c if M.size else np.zeros(0)
@@ -95,8 +96,8 @@ class SQPSolver(SolverAdapter):
         gv = prob.nonlin_ineq(x, params)
         hv = prob.nonlin_eq(x, params)
         if not np.isfinite(f):
-            return np.inf
-        return f + mu * self._violation(kv, gv, av, hv)
+            return f, np.inf
+        return f, f + mu * self._violation(kv, gv, av, hv)
 
     def _linearize(self, x, params, M, c, A, b):
         """Stacked inequality and equality rows at x and their Jacobians."""
@@ -177,7 +178,10 @@ class SQPSolver(SolverAdapter):
         nu = np.zeros(m_eq)  # equality multipliers
         mu = 1.0
 
+        # f and grad always hold the values at x: each accepted point is
+        # evaluated once, and its objective comes from the line search
         f = prob.objective(x, params)
+        grad = prob.gradient(x, params)
         obj_hist = [f]
         step_hist = [0.0]
         self.converged = False
@@ -189,8 +193,6 @@ class SQPSolver(SolverAdapter):
 
         it = 0
         for it in range(1, opts.max_iterations + 1):
-            f = prob.objective(x, params)
-            grad = prob.gradient(x, params)
             C_in, r_in, C_eq, r_eq = self._linearize(x, params, M, c, A, b)
 
             pieces = [f, grad, C_in, r_in, C_eq, r_eq]
@@ -230,7 +232,7 @@ class SQPSolver(SolverAdapter):
             slope = float(grad @ d) - mu * viol0
 
             alpha = 1.0
-            merit_new = self._merit(x + alpha * d, params, M, c, A, b, mu)
+            f_new, merit_new = self._merit(x + alpha * d, params, M, c, A, b, mu)
             accepted = False
             for _ in range(opts.max_backtracks):
                 if np.isfinite(merit_new) and (
@@ -239,7 +241,7 @@ class SQPSolver(SolverAdapter):
                     accepted = True
                     break
                 alpha *= opts.backtrack_factor
-                merit_new = self._merit(x + alpha * d, params, M, c, A, b, mu)
+                f_new, merit_new = self._merit(x + alpha * d, params, M, c, A, b, mu)
 
             if not accepted and not (np.isfinite(merit_new) and merit_new < merit0):
                 # no step length makes progress: swap in the (nearly) exact
@@ -278,13 +280,12 @@ class SQPSolver(SolverAdapter):
                     bad_updates = 0
 
             step = float(np.abs(s).max(initial=0.0))
-            obj_hist.append(prob.objective(x_new, params))
+            obj_hist.append(f_new)
             step_hist.append(step)
-            x = x_new
+            x, f, grad = x_new, f_new, grad_new
 
             if step <= opts.step_tolerance:
                 # the iteration is stationary; certify the final point
-                grad = prob.gradient(x, params)
                 C_in, r_in, C_eq, r_eq = self._linearize(x, params, M, c, A, b)
                 kkt = _kkt_residual(grad, C_in, r_in, C_eq, r_eq, lam, nu)
                 if kkt > opts.constraint_tolerance and ls_failures < 2:

@@ -5,6 +5,7 @@ import math
 import operator
 
 import numpy as np
+import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
@@ -89,6 +90,15 @@ _REFERENCE_OPS = {
 }
 
 
+def _each_tier(fn, *vectors):
+    """Call ``fn`` through its tape and its generated code; every call gives the first one's bytes."""
+    first = fn(*vectors)
+    for _ in range(expr._GENERATE_ON_CALL):
+        again = fn(*vectors)
+        assert again.shape == first.shape and again.tobytes() == first.tobytes()
+    return first
+
+
 def _reference_evaluate(e, bindings):
     """Recursive per-node walk, independent of the compiled tape.
 
@@ -127,7 +137,7 @@ class TestCompiledFunction:
     def test_matches_evaluate_bit_for_bit(self, e, xv, pv):
         xv, pv = np.array(xv), np.array(pv)
         ref = _reference_evaluate(e, {"x": xv, "p": pv})
-        out = CompiledFunction(e, _LAYOUTS)(xv, pv)
+        out = _each_tier(CompiledFunction(e, _LAYOUTS), xv, pv)
         assert out.shape == ref.shape and out.dtype == ref.dtype
         evaluated = to.evaluate(e, {"x": xv, "p": pv})
         assert evaluated.shape == out.shape and evaluated.dtype == out.dtype
@@ -143,14 +153,13 @@ class TestCompiledFunction:
         x = to.variable("x", 3)
         rows = [(x[0, 0] + 1.0)._n[0, 0], (1.0 / (x[0, 0] - x[1, 0]))._n[0, 0], _raw_const(-0.0)]
         e = Expression(np.array(rows, dtype=object))
-        fn = CompiledFunction(e, _LAYOUTS)
         p = np.zeros(2)
 
-        ok = fn(np.array([2.0, 1.0, 0.0]), p)
+        ok = _each_tier(CompiledFunction(e, _LAYOUTS), np.array([2.0, 1.0, 0.0]), p)
         assert ok.ravel()[:2].tolist() == [3.0, 1.0]
         assert ok[2, 0] == 0.0 and np.signbit(ok[2, 0])
 
-        assert np.isnan(fn(np.array([1.0, 1.0, 0.0]), p)).all()
+        assert np.isnan(_each_tier(CompiledFunction(e, _LAYOUTS), np.array([1.0, 1.0, 0.0]), p)).all()
         ref = _reference_evaluate(e, {"x": [1.0, 1.0, 0.0]})
         assert ref[0, 0] == 2.0 and np.isnan(ref[1, 0])
         assert np.isnan(to.evaluate(e, {"x": [1.0, 1.0, 0.0]})).all()
@@ -160,11 +169,11 @@ class TestCompiledFunction:
         d = x[0, 0] - x[1, 0]
         rows = [(x[2, 0] + 1.0)._n[0, 0], (d**0.5)._n[0, 0], (d**-1.5)._n[0, 0]]
         e = Expression(np.array(rows, dtype=object))
-        fn = CompiledFunction(e, _LAYOUTS)
         p = np.zeros(2)
 
-        assert fn(np.array([5.0, 1.0, 0.0]), p).ravel().tolist() == [1.0, 2.0, 0.125]
-        assert np.isnan(fn(np.array([1.0, 5.0, 0.0]), p)).all()
+        ok = _each_tier(CompiledFunction(e, _LAYOUTS), np.array([5.0, 1.0, 0.0]), p)
+        assert ok.ravel().tolist() == [1.0, 2.0, 0.125]
+        assert np.isnan(_each_tier(CompiledFunction(e, _LAYOUTS), np.array([1.0, 5.0, 0.0]), p)).all()
         ref = _reference_evaluate(e, {"x": [1.0, 5.0, 0.0]})
         assert ref[0, 0] == 1.0 and np.isnan(ref[1:, 0]).all()
         assert np.isnan(to.evaluate(e, {"x": [1.0, 5.0, 0.0]})).all()
@@ -175,13 +184,92 @@ class TestCompiledFunction:
     def test_atan2_reads_negative_zero_as_positive(self):
         x = to.variable("x", 3)
         e = to.vertcat(to.atan2(x[0, 0], x[1, 0]), to.atan2(x[1, 0], x[2, 0]))
-        out = CompiledFunction(e, _LAYOUTS)(np.array([-0.0, -1.0, -0.0]), np.zeros(2))
+        out = _each_tier(CompiledFunction(e, _LAYOUTS), np.array([-0.0, -1.0, -0.0]), np.zeros(2))
         # IEEE atan2 gives -pi and -pi / 2 here; folded constants give these
         assert out.ravel().tolist() == [math.pi, -math.pi / 2]
         zero = to.constant(-0.0)
         folded = to.evaluate(to.vertcat(to.atan2(zero, -1.0), to.atan2(-1.0, zero)))
         assert folded.tobytes() == out.tobytes()
 
+
+
+class TestGeneratedCode:
+    """Inputs the source generator must spell or split right; each gives the tape's bytes."""
+
+    def test_non_finite_constants(self):
+        x0, x1 = (to.variable("x", 3)._n[i, 0] for i in range(2))
+        inf, ninf, nan, neg_nan = (_raw_const(v) for v in (math.inf, -math.inf, math.nan, -math.nan))
+        rows = [
+            Node(expr._ADD, x0, inf),
+            Node(expr._MUL, x1, ninf),
+            Node(expr._DIV, x0, inf),
+            Node(expr._SUB, nan, x0),
+            Node(expr._ADD, neg_nan, x1),
+            Node(expr._ATAN2, x0, ninf),
+            Node(expr._NEG, Node(expr._ADD, inf, ninf)),
+        ]
+        e = Expression(np.array(rows, dtype=object))
+        xv = np.array([1.0, -2.0, 0.0])
+        out = _each_tier(CompiledFunction(e, _LAYOUTS), xv, np.zeros(2))
+        assert out.ravel()[[0, 1, 2, 5]].tolist() == [math.inf, math.inf, 0.0, math.pi]
+        assert np.isnan(out.ravel()[[3, 4, 6]]).all()
+        # the NaNs keep the sign bits of their constants
+        assert out.tobytes() == _reference_evaluate(e, {"x": xv}).tobytes()
+
+    @pytest.mark.parametrize("op", ["sin", "sum"])
+    def test_long_single_use_chain(self, op):
+        x = to.variable("x", 3)
+        leaves = [x._n[i, 0] for i in range(3)]
+        xv = np.array([0.3, -1.25, 2.5])
+        node, value = leaves[0], xv[0].item()
+        for i in range(2500):
+            if op == "sin":
+                node, value = expr._sin(node), math.sin(value)
+            else:
+                node, value = expr._add(node, leaves[i % 3]), value + xv[i % 3].item()
+        out = _each_tier(CompiledFunction(Expression(np.array([[node]])), _LAYOUTS), xv, np.zeros(2))
+        assert out[0, 0] == value
+
+    def test_fault_in_last_chunk_gives_all_nan(self):
+        x = to.variable("x", 3)
+        # the tape lists the first output's nodes last, so its statement ends the code
+        rows = [1.0 / (x[0, 0] - x[2, 0])]
+        rows += [x[0, 0] * float(k + 2) + x[1, 0] for k in range(expr._CHUNK_CHARS // 8)]
+        e = to.vertcat(*rows)
+        fn = CompiledFunction(e, _LAYOUTS)
+        p = np.zeros(2)
+        assert np.isfinite(_each_tier(fn, np.array([1.0, 2.0, 3.0]), p)).all()
+
+        fault = np.array([1.0, 2.0, 1.0])
+        vectors = [fault.tolist(), p.tolist()]
+        vals = [0.0] * fn._n_slots
+        assert len(fn._chunks) > 1
+        for chunk in fn._chunks[:-1]:
+            chunk(vals, vectors)
+        with pytest.raises(ZeroDivisionError):
+            fn._chunks[-1](vals, vectors)
+
+        assert np.isnan(fn(fault, p)).all()
+        assert np.isnan(_each_tier(CompiledFunction(e, _LAYOUTS), fault, p)).all()
+
+    def test_domain_rules_give_nan_at_the_entry_only(self):
+        x = to.variable("x", 3)
+        e = to.vertcat(to.log(x[0, 0]), to.sqrt(x[1, 0]), to.sqrt(x[2, 0]), x[0, 0] + 1.0)
+        out = _each_tier(CompiledFunction(e, _LAYOUTS), np.array([0.0, -1e-13, -1.0]), np.zeros(2))
+        assert np.isnan(out[[0, 2], 0]).all() and out[[1, 3], 0].tolist() == [0.0, 1.0]
+
+    def test_all_constant_expression(self):
+        nodes = np.array([[_raw_const(1.5), _raw_const(-0.0)], [_raw_const(0.0), _raw_const(-2.0)]])
+        out = _each_tier(CompiledFunction(Expression(nodes), _LAYOUTS), np.zeros(3), np.zeros(2))
+        assert out.tolist() == [[1.5, 0.0], [0.0, -2.0]] and np.signbit(out[0, 1])
+
+    def test_single_output(self):
+        x = to.variable("x", 3)
+        xv, p = np.array([0.5, 2.0, 0.0]), np.zeros(2)
+        out = _each_tier(CompiledFunction(to.sin(x[0, 0]) * x[1, 0], _LAYOUTS), xv, p)
+        assert out.shape == (1, 1) and out[0, 0] == math.sin(0.5) * 2.0
+        leaf = _each_tier(CompiledFunction(x[1, 0], _LAYOUTS), xv, p)
+        assert leaf.tolist() == [[2.0]]
 
 _QUERIES = (
     "global_link_transform",
