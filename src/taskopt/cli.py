@@ -22,6 +22,7 @@ from .builder import TaskBuilder
 from .fixtures import FIXTURE_NAMES, fixture_path
 from .kinematics import RobotModel
 from .solvers import Solver, SolverOptions
+from .spatial import rpy_to_matrix
 from .urdf import UrdfError, load_urdf
 
 __all__ = [
@@ -118,11 +119,7 @@ def _load_config(command: str, args) -> dict:
             if key not in cfg:
                 raise InputError(f"unknown config key {key!r} for {command}")
             cfg[key] = value
-    for key in ("urdf", "base", "tip", "T", "dt", "solver", "out"):
-        value = getattr(args, key, None)
-        if value is not None and key in cfg:
-            cfg[key] = value
-    for key in ("manip_weight", "cold"):
+    for key in ("urdf", "base", "tip", "T", "dt", "solver", "out", "manip_weight", "cold"):
         value = getattr(args, key, None)
         if value is not None and key in cfg:
             cfg[key] = value
@@ -392,6 +389,7 @@ def run_track(cfg: dict) -> TrackResult:
 
     errors, iters, durations, manip, qs = [], [], [], [], []
     q_prev = seed
+    failed_waypoint = None
     for k in range(W):
         session.reset_parameters({"goal": path[:, k], "nominal": seed})
         session.reset_initial_seed({block: seed if cold else q_prev})
@@ -404,23 +402,17 @@ def run_track(cfg: dict) -> TrackResult:
         manip.append(robot.manipulability(cfg["tip"], q, rows=manip_rows))
         qs.append(q)
         if not sol.success:
-            return TrackResult(
-                success=False,
-                errors=np.asarray(errors),
-                iterations=np.asarray(iters),
-                durations_ms=np.asarray(durations),
-                manipulability=np.asarray(manip),
-                q=np.asarray(qs).T,
-                failed_waypoint=k,
-            )
+            failed_waypoint = k
+            break
         q_prev = q
     return TrackResult(
-        success=True,
+        success=failed_waypoint is None,
         errors=np.asarray(errors),
         iterations=np.asarray(iters),
         durations_ms=np.asarray(durations),
         manipulability=np.asarray(manip),
         q=np.asarray(qs).T,
+        failed_waypoint=failed_waypoint,
     )
 
 
@@ -461,8 +453,6 @@ def _dims_session(robot: RobotModel, cfg: dict, full_pose: bool) -> Solver:
     p = robot.global_link_position(cfg["tip"], q)
     b.add_cost_term("goal", ex.sumsqr(p - goal))
     if full_pose:
-        from .spatial import rpy_to_matrix
-
         R_goal = rpy_to_matrix(np.asarray(cfg["orientation_rpy"], dtype=float))
         R = robot.global_link_rotation(cfg["tip"], q)
         b.add_cost_term(
@@ -479,8 +469,6 @@ def _rotation_angle(Ra: np.ndarray, Rb: np.ndarray) -> float:
 
 def run_dims(cfg: dict) -> DimsResult:
     robot = _robot(cfg)
-    from .spatial import rpy_to_matrix
-
     origin = np.asarray(cfg["sweep_origin"], dtype=float)
     direction = np.asarray(cfg["sweep_direction"], dtype=float)
     direction = direction / np.linalg.norm(direction)

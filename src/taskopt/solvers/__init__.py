@@ -10,9 +10,8 @@ from .base import (
     interpolate,
     register_solver,
 )
-from .bfgs import QuasiNewtonSolver
 from .qp import ActiveSetQP, QPResult, solve_qp
-from .sqp import SQPSolver
+from .sqp import QuasiNewtonSolver, SQPSolver
 
 register_solver("qp", ActiveSetQP)
 register_solver("bfgs", QuasiNewtonSolver)

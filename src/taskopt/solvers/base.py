@@ -34,7 +34,8 @@ class SolverOptions:
 
     ``max_iterations``, ``step_tolerance``, ``constraint_tolerance`` and the
     line-search entries (``armijo_coeff``, ``backtrack_factor``,
-    ``max_backtracks``) drive the BFGS and SQP outer iterations.  The
+    ``max_backtracks``) drive the SQP outer iterations, which the ``sqp``
+    and ``bfgs`` tags share.  The
     ``qp_*`` entries drive the active-set QP, both standalone and inside SQP
     subproblems: ``qp_max_iterations`` caps its working-set changes, and a
     bound counts as violated by more than ``qp_absolute_tolerance +

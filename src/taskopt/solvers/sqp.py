@@ -8,17 +8,26 @@ Hessian projected to be positive definite (for sum-of-squares costs near a
 solution this coincides with a Gauss-Newton seed), so every subproblem is
 strictly convex.  Only a subproblem the QP certifies infeasible is solved
 again, with elastic slacks weighted by 1e3 times the current penalty.
+
+Each point is evaluated once: the line search computes f and the rows at
+every trial point, and the loop computes the derivatives at the accepted
+one, then carries all of them into the next iteration.
+
+The same loop serves two tags.  ``sqp`` accepts every problem;
+``bfgs`` accepts only unconstrained ones, where the subproblem has no rows,
+so each step is a damped-BFGS quasi-Newton step with Armijo backtracking
+on f.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ..problem import ProblemClass
 from .base import SolverAdapter, SolverOptions, Stats
-from .bfgs import damped_bfgs_update
 from .qp import solve_qp
 
-__all__ = ["SQPSolver"]
+__all__ = ["SQPSolver", "QuasiNewtonSolver", "damped_bfgs_update"]
 
 _MIN_EIGENVALUE = 1e-6
 _ELASTIC_WEIGHT = 1e3
@@ -43,6 +52,27 @@ def _psd_projection(H: np.ndarray, relative_floor: float = 1e-3) -> np.ndarray:
     floor = max(_MIN_EIGENVALUE, relative_floor * float(w.max(initial=0.0)))
     w = np.clip(w, floor, None)
     return (V * w) @ V.T
+
+
+def damped_bfgs_update(B: np.ndarray, s: np.ndarray, y: np.ndarray):
+    """Powell-damped BFGS update; returns (B_new, ok).
+
+    ``ok`` is False when even the damped curvature is unusable, in which
+    case ``B`` is returned unchanged.
+    """
+    Bs = B @ s
+    sBs = float(s @ Bs)
+    sy = float(s @ y)
+    if not np.isfinite(sBs) or not np.isfinite(sy) or sBs <= 1e-16:
+        return B, False
+    if sy < 0.2 * sBs:
+        theta = 0.8 * sBs / (sBs - sy)
+        y = theta * y + (1.0 - theta) * Bs
+        sy = float(s @ y)
+    if sy <= 1e-14:
+        return B, False
+    B_new = B - np.outer(Bs, Bs) / sBs + np.outer(y, y) / sy
+    return 0.5 * (B_new + B_new.T), True
 
 
 def _kkt_residual(grad, C_in, r_in, C_eq, r_eq, lam, nu) -> float:
@@ -73,7 +103,6 @@ class SQPSolver(SolverAdapter):
         self.options = options
         self._stats = Stats()
 
-    # merit helpers -----------------------------------------------------
     @staticmethod
     def _violation(kv, gv, av, hv) -> float:
         total = 0.0
@@ -87,26 +116,22 @@ class SQPSolver(SolverAdapter):
             total += float(np.maximum(-gv, 0.0).sum())
         return total
 
-    def _merit(self, x, params, M, c, A, b, mu) -> tuple[float, float]:
-        """The objective at x and the l1 merit (inf where f is not finite)."""
+    # evaluation ------------------------------------------------------------
+    def _values(self, x, params, M, c, A, b):
+        """The objective and the stacked inequality and equality rows at x."""
         prob = self.problem
         f = prob.objective(x, params)
-        kv = M @ x + c if M.size else np.zeros(0)
-        av = A @ x + b if A.size else np.zeros(0)
-        gv = prob.nonlin_ineq(x, params)
-        hv = prob.nonlin_eq(x, params)
-        if not np.isfinite(f):
-            return f, np.inf
-        return f, f + mu * self._violation(kv, gv, av, hv)
-
-    def _linearize(self, x, params, M, c, A, b):
-        """Stacked inequality and equality rows at x and their Jacobians."""
-        prob = self.problem
-        C_in = np.vstack([M, prob.nonlin_ineq_jacobian(x, params)])
-        C_eq = np.vstack([A, prob.nonlin_eq_jacobian(x, params)])
         r_in = np.concatenate([M @ x + c, prob.nonlin_ineq(x, params)])
         r_eq = np.concatenate([A @ x + b, prob.nonlin_eq(x, params)])
-        return C_in, r_in, C_eq, r_eq
+        return f, r_in, r_eq
+
+    def _derivatives(self, x, params, M, A):
+        """The cost gradient and the stacked row Jacobians at x."""
+        prob = self.problem
+        grad = prob.gradient(x, params)
+        C_in = np.vstack([M, prob.nonlin_ineq_jacobian(x, params)])
+        C_eq = np.vstack([A, prob.nonlin_eq_jacobian(x, params)])
+        return grad, C_in, C_eq
 
     # subproblem ----------------------------------------------------------
     def _subproblem(self, B, grad, C_in, r_in, C_eq, r_eq, y0, mu):
@@ -170,18 +195,27 @@ class SQPSolver(SolverAdapter):
         M, c = prob.lin_ineq(params)
         A, b = prob.lin_eq(params)
         n_k, n_a = M.shape[0], A.shape[0]
-        n_g, n_h = prob.n_g, prob.n_h
-        m_in, m_eq = n_k + n_g, n_a + n_h
+        m_in, m_eq = n_k + prob.n_g, n_a + prob.n_h
+
+        def violation(r_in, r_eq):
+            return self._violation(r_in[:n_k], r_in[n_k:], r_eq[:n_a], r_eq[n_a:])
+
+        def merit(f_x, r_in_x, r_eq_x):
+            """The l1 merit at the current penalty; inf where f is not finite."""
+            if not np.isfinite(f_x):
+                return np.inf
+            return f_x + mu * violation(r_in_x, r_eq_x)
 
         B = _psd_projection(prob.hessian(x, params))
         lam = np.zeros(m_in)  # inequality multipliers, >= 0
         nu = np.zeros(m_eq)  # equality multipliers
         mu = 1.0
 
-        # f and grad always hold the values at x: each accepted point is
-        # evaluated once, and its objective comes from the line search
-        f = prob.objective(x, params)
-        grad = prob.gradient(x, params)
+        # these six always hold the values at x: the line search supplies
+        # f and the rows at the accepted point, and the derivatives there
+        # are evaluated once, for the BFGS update
+        f, r_in, r_eq = self._values(x, params, M, c, A, b)
+        grad, C_in, C_eq = self._derivatives(x, params, M, A)
         obj_hist = [f]
         step_hist = [0.0]
         self.converged = False
@@ -193,8 +227,6 @@ class SQPSolver(SolverAdapter):
 
         it = 0
         for it in range(1, opts.max_iterations + 1):
-            C_in, r_in, C_eq, r_eq = self._linearize(x, params, M, c, A, b)
-
             pieces = [f, grad, C_in, r_in, C_eq, r_eq]
             if not all(np.all(np.isfinite(np.atleast_1d(p))) for p in pieces):
                 self.termination = "nan"
@@ -227,12 +259,13 @@ class SQPSolver(SolverAdapter):
                 if mu <= lam_norm:
                     mu = 2.0 * lam_norm + 1.0
 
-            viol0 = self._violation(r_in[:n_k], r_in[n_k:], r_eq[:n_a], r_eq[n_a:])
+            viol0 = violation(r_in, r_eq)
             merit0 = f + mu * viol0
             slope = float(grad @ d) - mu * viol0
 
             alpha = 1.0
-            f_new, merit_new = self._merit(x + alpha * d, params, M, c, A, b, mu)
+            trial = self._values(x + alpha * d, params, M, c, A, b)
+            merit_new = merit(*trial)
             accepted = False
             for _ in range(opts.max_backtracks):
                 if np.isfinite(merit_new) and (
@@ -241,7 +274,8 @@ class SQPSolver(SolverAdapter):
                     accepted = True
                     break
                 alpha *= opts.backtrack_factor
-                f_new, merit_new = self._merit(x + alpha * d, params, M, c, A, b, mu)
+                trial = self._values(x + alpha * d, params, M, c, A, b)
+                merit_new = merit(*trial)
 
             if not accepted and not (np.isfinite(merit_new) and merit_new < merit0):
                 # no step length makes progress: swap in the (nearly) exact
@@ -263,12 +297,9 @@ class SQPSolver(SolverAdapter):
             s = x_new - x
 
             # BFGS on the Lagrangian gradient with the fresh multipliers
-            grad_new = prob.gradient(x_new, params)
-            C_in_new = np.vstack([M, prob.nonlin_ineq_jacobian(x_new, params)])
-            C_eq_new = np.vstack([A, prob.nonlin_eq_jacobian(x_new, params)])
-            gL_new = grad_new - C_in_new.T @ lam - C_eq_new.T @ nu
             gL_old = grad - C_in.T @ lam - C_eq.T @ nu
-            yv = gL_new - gL_old
+            grad, C_in, C_eq = self._derivatives(x_new, params, M, A)
+            yv = grad - C_in.T @ lam - C_eq.T @ nu - gL_old
 
             B, ok = damped_bfgs_update(B, s, yv)
             if ok:
@@ -280,13 +311,13 @@ class SQPSolver(SolverAdapter):
                     bad_updates = 0
 
             step = float(np.abs(s).max(initial=0.0))
-            obj_hist.append(f_new)
+            x = x_new
+            f, r_in, r_eq = trial
+            obj_hist.append(f)
             step_hist.append(step)
-            x, f, grad = x_new, f_new, grad_new
 
             if step <= opts.step_tolerance:
                 # the iteration is stationary; certify the final point
-                C_in, r_in, C_eq, r_eq = self._linearize(x, params, M, c, A, b)
                 kkt = _kkt_residual(grad, C_in, r_in, C_eq, r_eq, lam, nu)
                 if kkt > opts.constraint_tolerance and ls_failures < 2:
                     # one endgame retry with near-exact curvature
@@ -306,3 +337,11 @@ class SQPSolver(SolverAdapter):
 
     def statistics(self) -> Stats:
         return self._stats
+
+
+class QuasiNewtonSolver(SQPSolver):
+    """Adapter tag ``"bfgs"``: the SQP loop, for unconstrained problems only."""
+
+    accepts = frozenset(
+        (ProblemClass.UNCONSTRAINED_QUADRATIC, ProblemClass.UNCONSTRAINED_NONLINEAR)
+    )

@@ -1,3 +1,5 @@
+import collections
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from taskopt.solvers import (
     register_solver,
     solve_qp,
 )
+from taskopt.solvers.sqp import SQPSolver
 
 
 def _ik_problem(regularizer=1e-8):
@@ -34,6 +37,41 @@ def _qp_problem():
     b.add_cost_term("c", to.sumsqr(x - to.constant([1.0, 2.0])))
     b.add_leq_inequality_constraint("cap", x[0, 0] + x[1, 0], 2.0)
     return b.build()
+
+
+def _obstacle_reach_problem():
+    """planar2r, T=3: pinned start, a tip equality and an obstacle row per step."""
+    arm = to.RobotModel(to.fixture_path("planar2r"), tip="ee", name="arm")
+    b = to.TaskBuilder(3, robots=[arm])
+    qs = [b.get_model_state("arm", t) for t in range(3)]
+    b.add_cost_term("smooth", to.sumsqr(qs[1] - qs[0]) + to.sumsqr(qs[2] - qs[1]))
+    b.add_equality_constraint("init", qs[0], b.add_parameter("start", 2))
+    b.add_equality_constraint("reach", arm.global_link_position("ee", qs[2])[0, 0], 1.2)
+    center = to.constant([1.2, 1.0, 0.0])
+    for t, q in enumerate(qs):
+        p = arm.global_link_position("ee", q)
+        b.add_leq_inequality_constraint(f"obstacle{t}", 0.3**2, to.sumsqr(p - center))
+    b.enforce_model_limits("arm")
+    return b.build()
+
+
+class _CountingProblem:
+    """Forwards to a Problem, counting calls by (method, bytes of the first argument)."""
+
+    def __init__(self, problem):
+        self._problem = problem
+        self.calls = collections.Counter()
+
+    def __getattr__(self, name):
+        attr = getattr(self._problem, name)
+        if not callable(attr):
+            return attr
+
+        def counted(*args):
+            self.calls[(name, np.asarray(args[0]).tobytes())] += 1
+            return attr(*args)
+
+        return counted
 
 
 class TestSetup:
@@ -240,13 +278,20 @@ class TestBFGSSolver:
         b.add_cost_term("goal", to.sumsqr(arm.global_link_position("ee", q) - goal))
         p = b.build()
         assert p.classification is ProblemClass.UNCONSTRAINED_NONLINEAR
-        s = Solver(p).setup("bfgs", SolverOptions(max_iterations=200))
-        s.reset_parameters({"goal": [1.2, 0.8, 0.0]})
-        s.reset_initial_seed({"arm/0": [0.5, 0.5]})
-        sol = s.solve()
+        sols = {}
+        for tag in ("bfgs", "sqp"):
+            s = Solver(p).setup(tag, SolverOptions(max_iterations=200))
+            s.reset_parameters({"goal": [1.2, 0.8, 0.0]})
+            s.reset_initial_seed({"arm/0": [0.5, 0.5]})
+            sols[tag] = s.solve()
+        sol = sols["bfgs"]
         assert sol.success
         qstar = sol["arm/0"].ravel()
         assert np.linalg.norm(arm.global_link_position("ee", qstar) - [1.2, 0.8, 0.0]) <= 1e-6
+        # the bfgs tag runs the SQP loop: the same answer to the bit
+        assert sol.x.tobytes() == sols["sqp"].x.tobytes()
+        assert sol.iterations == sols["sqp"].iterations
+        assert sol.termination == sols["sqp"].termination == "kkt-tolerance"
 
     def test_objective_history_non_increasing(self):
         arm, _ = _ik_problem()
@@ -352,6 +397,30 @@ class TestSQPSolver:
         assert sol.success
         assert sol["dt"].sum() == pytest.approx(1.0, abs=1e-6)
         assert np.all(sol["dt"] >= 1e-4 - 1e-9)
+
+    def test_no_point_evaluated_twice(self):
+        p = _obstacle_reach_problem()
+        assert p.n_g == 3 and p.n_h == 1
+        counting = _CountingProblem(p)
+        adapter = SQPSolver()
+        adapter.initialize(counting, SolverOptions())
+        start = [0.5 * np.pi, 0.0]
+        adapter.solve(np.tile(start, 3), p.parameters.vectorize({"start": start}))
+        assert adapter.converged
+        assert adapter.statistics().iterations >= 2
+        repeated = sorted(name for (name, _), k in counting.calls.items() if k > 1)
+        assert repeated == []
+
+    def test_nan_at_seed(self):
+        b = to.TaskBuilder(1)
+        x = b.add_decision_variables("x", 1)
+        b.add_cost_term("c", to.log(x))
+        s = Solver(b.build()).setup("sqp")
+        s.reset_initial_seed({"x": [-1.0]})
+        sol = s.solve()
+        assert sol.termination == "nan"
+        assert sol.success is False
+        assert sol.iterations == 0
 
     def test_determinism(self):
         arm, p = _ik_problem()
