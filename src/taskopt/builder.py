@@ -1,10 +1,11 @@
 """Assemble a time-horizon optimization task and transcribe it to a Problem.
 
 The builder owns the decision and parameter containers, registers model
-state blocks (named ``"<model>/<order>"``), collects cost terms and
-constraints in user syntax, and at :meth:`TaskBuilder.build` partitions
-every constraint row into the canonical linear/nonlinear groups by
-structural classification over the decision leaves.
+state blocks (named ``"<model>/<order>"``) and collects cost terms and
+constraints in user syntax.  :meth:`TaskBuilder.build` sums the cost terms,
+checks the rows that hold no leaves, and hands the remaining inequality and
+equality rows, one label each, to :class:`~taskopt.problem.Problem`, which
+routes them into the canonical partitions and builds every derivative.
 
 Canonical internal forms: equalities are stored as ``expr == 0`` and
 inequalities as ``expr >= 0``; the user-facing methods convert on entry.
@@ -13,16 +14,14 @@ inequalities as ``expr >= 0``; the user-facing methods convert on entry.
 from __future__ import annotations
 
 import warnings
-from typing import Iterable
 
 import numpy as np
 
 from . import expr as ex
 from .containers import VariableContainer
-from .expr import Expression, as_expression
+from .expr import Expression, Node, as_expression
 from .kinematics import RobotModel
 from .problem import Problem
-from .taskmodel import TaskModel
 
 __all__ = ["TaskBuilder", "BuildError", "MIN_TIME_STEP"]
 
@@ -63,7 +62,6 @@ class TaskBuilder:
         self.optimize_time = bool(optimize_time)
 
         self._models: dict[str, object] = {}
-        self._registry = ex.LeafRegistry()
         self.decision = VariableContainer("variable")
         self.parameters = VariableContainer("parameter")
         self._costs: dict[str, Expression] = {}
@@ -83,29 +81,26 @@ class TaskBuilder:
                         f"model {name!r} requests derivative order {d} but T={T} "
                         "leaves no columns (derivs_align=False)"
                     )
-                self._register_decision(f"{name}/{d}", model.ndof, cols)
+                self.add_decision_variables(f"{name}/{d}", model.ndof, cols)
 
         if self.optimize_time:
             if T < 2:
                 raise ValueError("optimize_time requires T >= 2")
             # the optimized time increments, exposed for use in costs/constraints
-            self.dt = self._register_decision("dt", 1, T - 1)
+            self.dt = self.add_decision_variables("dt", 1, T - 1)
         else:
             self.dt = None
 
     # variable management ---------------------------------------------------
-    def _register_decision(self, name: str, rows: int, cols: int) -> Expression:
-        block = self._registry.variable(name, rows, cols)
+    def add_decision_variables(self, name: str, rows: int = 1, cols: int = 1) -> Expression:
+        """Register an extra named decision block and return it."""
+        block = ex.variable(name, rows, cols)
         self.decision.register(name, block)
         return block
 
-    def add_decision_variables(self, name: str, rows: int = 1, cols: int = 1) -> Expression:
-        """Register an extra named decision block and return it."""
-        return self._register_decision(name, rows, cols)
-
     def add_parameter(self, name: str, rows: int = 1, cols: int = 1) -> Expression:
         """Register a named parameter block and return it."""
-        block = self._registry.parameter(name, rows, cols)
+        block = ex.parameter(name, rows, cols)
         self.parameters.register(name, block)
         return block
 
@@ -234,7 +229,13 @@ class TaskBuilder:
 
     # transcription ------------------------------------------------------------
     def build(self) -> Problem:
-        """Partition all constraints, assemble derivatives, and compile."""
+        """Sum the cost terms, check the constant rows and compile a :class:`Problem`.
+
+        A row with no leaves raises :class:`BuildError` when violated and
+        is dropped with a warning when satisfied.  Every other row goes to
+        :class:`Problem`, which routes it into its canonical partition and
+        builds the derivatives.
+        """
         if not self._costs and not self._equalities and not self._inequalities:
             raise BuildError("empty problem: add at least one cost term or constraint")
 
@@ -242,24 +243,16 @@ class TaskBuilder:
         for term in self._costs.values():
             f = f + term
 
-        x_leaves = self.decision.leaves()
-        x_set = frozenset(x_leaves)
-
-        k_rows, k_labels = [], []
-        a_rows, a_labels = [], []
-        g_rows, g_labels = [], []
-        h_rows, h_labels = [], []
-
-        def route(name: str, e: Expression, is_eq: bool):
-            for i in range(e.rows):
-                node = e._n[i, 0]
-                if not ex._deps(node):
+        def rows(constraints: dict[str, Expression], is_eq: bool) -> list[tuple[str, Node]]:
+            kept = []
+            for name, e in constraints.items():
+                for i in range(e.rows):
+                    node = e._n[i, 0]
+                    if ex._deps(node):
+                        kept.append((name, node))
+                        continue
                     val = node.val
-                    if is_eq:
-                        bad = abs(val) > 1e-12
-                    else:
-                        bad = val < -1e-12
-                    if bad:
+                    if (abs(val) > 1e-12) if is_eq else (val < -1e-12):
                         raise BuildError(
                             f"constraint {name!r} row {i} is constant and violated "
                             f"(value {val!r})"
@@ -268,32 +261,12 @@ class TaskBuilder:
                         f"constraint {name!r} row {i} is constant and satisfied; dropped",
                         stacklevel=3,
                     )
-                    continue
-                if ex._classify([node], x_set) <= ex.StructureClass.LINEAR:
-                    rows, labels = (a_rows, a_labels) if is_eq else (k_rows, k_labels)
-                else:
-                    rows, labels = (h_rows, h_labels) if is_eq else (g_rows, g_labels)
-                rows.append(node)
-                labels.append(name)
-
-        for name, e in self._inequalities.items():
-            route(name, e, is_eq=False)
-        for name, e in self._equalities.items():
-            route(name, e, is_eq=True)
-
-        def stack_rows(rows):
-            return Expression(np.array(rows, dtype=object)) if rows else None
-
-        def affine(rows):
-            return ex.extract_affine(stack_rows(rows), x_leaves) if rows else None
+            return kept
 
         return Problem(
-            decision=self.decision,
-            parameters=self.parameters,
-            objective_expr=f,
-            lin_ineq=affine(k_rows),
-            lin_eq=affine(a_rows),
-            nonlin_ineq=stack_rows(g_rows),
-            nonlin_eq=stack_rows(h_rows),
-            labels={"k": k_labels, "a": a_labels, "g": g_labels, "h": h_labels},
+            self.decision,
+            self.parameters,
+            f,
+            inequalities=rows(self._inequalities, is_eq=False),
+            equalities=rows(self._equalities, is_eq=True),
         )

@@ -362,6 +362,8 @@ def _deps(n: Node) -> frozenset:
 
 
 def _diff(n: Node, leaf: Node, cache: dict) -> Node:
+    # ``cache`` maps (id(n), id(leaf)) to the derivative; a caller sharing
+    # it across calls keeps every node it was asked about alive
     if n is leaf:
         return _ONE
     if leaf not in _deps(n):
@@ -804,8 +806,11 @@ def jacobian(e, wrt) -> Expression:
     e = as_expression(e)
     if not e.is_column():
         raise ValueError(f"jacobian requires a column vector, got shape {e.shape}")
-    leaves = _leaf_list(wrt)
-    cache: dict = {}
+    return _jacobian(e, _leaf_list(wrt), {})
+
+
+def _jacobian(e: Expression, leaves: Sequence[Node], cache: dict) -> Expression:
+    """:func:`jacobian` over prepared leaves, reusing the derivatives in ``cache``."""
     out = np.empty((e.rows, len(leaves)), dtype=object)
     for i in range(e.rows):
         node = e._n[i, 0]
@@ -829,8 +834,12 @@ def hessian(e, wrt) -> Expression:
     if not e.is_scalar():
         raise ValueError("hessian requires a scalar expression")
     leaves = _leaf_list(wrt)
-    g = gradient(e, leaves)
     cache: dict = {}
+    return _hessian(_jacobian(e, leaves, cache).T, leaves, cache)
+
+
+def _hessian(g: Expression, leaves: Sequence[Node], cache: dict) -> Expression:
+    """Hessian from the gradient column ``g``, reusing the derivatives in ``cache``."""
     n = len(leaves)
     out = np.empty((n, n), dtype=object)
     for i in range(n):
@@ -900,17 +909,16 @@ def classify(e, wrt) -> StructureClass:
     check is structural, not value-based, so expressions that only cancel
     algebraically stay in the wider class.
     """
-    return _classify(as_expression(e).entries(), frozenset(_leaf_list(wrt)))
+    return _classify(as_expression(e).entries(), frozenset(_leaf_list(wrt)), {})
 
 
-def _classify(entries: Sequence[Node], wrtset: frozenset) -> StructureClass:
-    """:func:`classify` over scalar nodes and a prepared leaf set."""
+def _classify(entries: Sequence[Node], wrtset: frozenset, cache: dict) -> StructureClass:
+    """:func:`classify` over scalar nodes and a prepared leaf set, reusing ``cache``."""
     if not any(_deps(n) & wrtset for n in entries):
         return StructureClass.CONSTANT
     if _has_hard_nonlinearity(entries, wrtset):
         return StructureClass.NONLINEAR
 
-    cache: dict = {}
     firsts: list[Node] = []
     for n in entries:
         for leaf in _deps(n) & wrtset:
@@ -936,12 +944,16 @@ def extract_affine(e, wrt) -> tuple[Expression, Expression]:
     if not e.is_column():
         e = e.vec()
     leaves = _leaf_list(wrt)
-    cls = _classify(e.entries(), frozenset(leaves))
+    cache: dict = {}
+    cls = _classify(e.entries(), frozenset(leaves), cache)
     if not cls <= StructureClass.LINEAR:
         raise ValueError(f"extract_affine on a {cls.value} expression")
-    M = jacobian(e, leaves)
-    c = _replace_leaves(e, {id(l): _ZERO for l in leaves})
-    return M, c
+    return _jacobian(e, leaves, cache), _at_zero(e, leaves)
+
+
+def _at_zero(e: Expression, leaves: Sequence[Node]) -> Expression:
+    """``e`` with every one of ``leaves`` replaced by 0."""
+    return _replace_leaves(e, {id(l): _ZERO for l in leaves})
 
 
 # -- graph rewriting -----------------------------------------------------------

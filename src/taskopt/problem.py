@@ -1,30 +1,35 @@
 """Canonical constrained problem: numeric evaluation of objective, constraints,
 and their derivatives given the stacked decision vector X and parameter vector P.
 
-The constraint partitions follow the canonical form produced by the builder:
+Transcription happens here: :class:`Problem` routes each constraint row
+into one of the four canonical partitions and builds every symbolic
+derivative of the build (cost gradient and Hessian, row Jacobians and the
+structure tests) from one shared memo, so none is built twice.
 
 * ``k(X; P) = M(P) X + c(P) >= 0``   linear inequalities
 * ``a(X; P) = A(P) X + b(P) = 0``    linear equalities
 * ``g(X; P) >= 0``                   nonlinear inequalities
 * ``h(X; P) = 0``                    nonlinear equalities
 
-M, c, A, b depend on parameters only; this is asserted structurally when
-the problem is assembled.  All matrices are dense; the problem sizes this
-library targets (up to a few thousand decision variables) do not call for
-sparsity.
+M, c, A, b hold no decision leaves by construction: M and A are the
+Jacobian rows of structurally linear rows, and c and b are those rows with
+every decision leaf set to 0.  They are compiled over P alone, which
+rejects any decision leaf that slips in.  All matrices are dense; the
+problem sizes this library targets (up to a few thousand decision
+variables) do not call for sparsity.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import expr
 from .containers import VariableContainer
-from .expr import CompiledFunction, Expression
+from .expr import CompiledFunction, Expression, Node
 
 __all__ = ["Problem", "ProblemClass", "ConstraintValues", "FeasibilityReport"]
 
@@ -38,28 +43,6 @@ class ProblemClass(enum.Enum):
     UNCONSTRAINED_NONLINEAR = "unconstrained-nonlinear"
     LINEAR_CONSTRAINED_NONLINEAR = "linear-constrained-nonlinear"
     NONLINEAR_COST_AND_CONSTRAINTS = "nonlinear-cost-and-constraints"
-
-    @property
-    def quadratic_cost(self) -> bool:
-        return self in (
-            ProblemClass.UNCONSTRAINED_QUADRATIC,
-            ProblemClass.LINEAR_CONSTRAINED_QUADRATIC,
-            ProblemClass.NONLINEAR_CONSTRAINED_QUADRATIC,
-        )
-
-    @property
-    def has_constraints(self) -> bool:
-        return self not in (
-            ProblemClass.UNCONSTRAINED_QUADRATIC,
-            ProblemClass.UNCONSTRAINED_NONLINEAR,
-        )
-
-    @property
-    def has_nonlinear_constraints(self) -> bool:
-        return self in (
-            ProblemClass.NONLINEAR_CONSTRAINED_QUADRATIC,
-            ProblemClass.NONLINEAR_COST_AND_CONSTRAINTS,
-        )
 
 
 class ConstraintValues(NamedTuple):
@@ -86,84 +69,85 @@ class FeasibilityReport:
         return self.max_violation <= tol
 
 
+# the pieces compiled over P alone
+_PARAMETER_ONLY = ("M", "c", "A", "b")
+# Per row stack: its linear partition and that partition's (M, c), then its
+# nonlinear partition and that partition's Jacobian.
+_SPLITS = (("k", "M", "c", "g", "Jg"), ("a", "A", "b", "h", "Jh"))
+
+
+def _transcribe(f: Expression, inequalities, equalities, x_leaves):
+    """Symbolic pieces of the canonical program, row labels and whether f is quadratic.
+
+    Every derivative comes from one ``_diff`` memo: the gradient, Hessian,
+    row Jacobians and the structure tests of rows and cost share each
+    (node, leaf) derivative, so none is built twice.  The memo is released
+    on return, before anything is compiled.
+    """
+    memo: dict = {}
+    x_set = frozenset(x_leaves)
+    grad = expr._jacobian(f, x_leaves, memo).T
+    pieces = {"f": f, "grad": grad, "hess": expr._hessian(grad, x_leaves, memo)}
+    quad_cost = expr._classify(f.entries(), x_set, memo) <= expr.StructureClass.QUADRATIC
+    labels: dict[str, list[str]] = {"k": [], "a": [], "g": [], "h": []}
+    for (k, M, c, g, Jg), rows in zip(_SPLITS, (inequalities, equalities)):
+        if not rows:
+            continue
+        stack = Expression(np.array([node for _, node in rows], dtype=object))
+        J = expr._jacobian(stack, x_leaves, memo)
+        linear = np.array(
+            [expr._classify([node], x_set, memo) <= expr.StructureClass.LINEAR for _, node in rows]
+        )
+        for (name, _), lin in zip(rows, linear):
+            labels[k if lin else g].append(name)
+        if linear.any():
+            pieces[M] = Expression(J._n[linear])
+            pieces[c] = expr._at_zero(Expression(stack._n[linear]), x_leaves)
+        if not linear.all():
+            pieces[g] = Expression(stack._n[~linear])
+            pieces[Jg] = Expression(J._n[~linear])
+    return pieces, labels, quad_cost
+
+
 class Problem:
-    """Compiled canonical problem over flat vectors X (decision) and P (parameter)."""
+    """Compiled canonical problem over flat vectors X (decision) and P (parameter).
+
+    ``inequalities`` and ``equalities`` hold one ``(label, row)`` pair per
+    scalar row, read as ``row >= 0`` and ``row == 0``.  A row goes to its
+    linear partition (k or a) when ``classify(row, X) <= LINEAR`` and to its
+    nonlinear one (g or h) otherwise; ``labels`` lists each partition's row
+    labels in row order.
+    """
 
     def __init__(
         self,
         decision: VariableContainer,
         parameters: VariableContainer,
         objective_expr: Expression,
-        lin_ineq: tuple[Expression, Expression] | None,
-        lin_eq: tuple[Expression, Expression] | None,
-        nonlin_ineq: Expression | None,
-        nonlin_eq: Expression | None,
-        labels: dict[str, list[str]] | None = None,
+        inequalities: Sequence[tuple[str, Node]] = (),
+        equalities: Sequence[tuple[str, Node]] = (),
     ):
         self.decision = decision
         self.parameters = parameters
         self.n_x = decision.total_length
         self.n_p = parameters.total_length
-
-        x_layout = ("variable", decision.layout())
-        p_layout = ("parameter", parameters.layout())
-        xp = (x_layout, p_layout)
-        x_leaves = decision.leaves()
-
         if not objective_expr.is_scalar():
             raise ValueError("objective must be scalar")
-        self._f_expr = objective_expr
-        self._f = CompiledFunction(objective_expr, xp)
-        grad_expr = expr.gradient(objective_expr, x_leaves)
-        self._grad = CompiledFunction(grad_expr, xp)
-        hess_expr = expr.hessian(objective_expr, x_leaves)
-        self._hess = CompiledFunction(hess_expr, xp)
 
-        def _param_only(e: Expression, what: str):
-            for block in e.leaf_blocks():
-                if block.kind != "parameter":
-                    raise ValueError(f"{what} must depend on parameters only")
-
-        if lin_ineq is not None:
-            M, c = lin_ineq
-            _param_only(M, "M"), _param_only(c, "c")
-            self.n_k = M.rows
-            self._M = CompiledFunction(M, (p_layout,))
-            self._c = CompiledFunction(c, (p_layout,))
-        else:
-            self.n_k = 0
-            self._M = self._c = None
-
-        if lin_eq is not None:
-            A, b = lin_eq
-            _param_only(A, "A"), _param_only(b, "b")
-            self.n_a = A.rows
-            self._A = CompiledFunction(A, (p_layout,))
-            self._b = CompiledFunction(b, (p_layout,))
-        else:
-            self.n_a = 0
-            self._A = self._b = None
-
-        if nonlin_ineq is not None:
-            self.n_g = nonlin_ineq.rows
-            self._g = CompiledFunction(nonlin_ineq, xp)
-            self._Jg = CompiledFunction(expr.jacobian(nonlin_ineq, x_leaves), xp)
-        else:
-            self.n_g = 0
-            self._g = self._Jg = None
-
-        if nonlin_eq is not None:
-            self.n_h = nonlin_eq.rows
-            self._h = CompiledFunction(nonlin_eq, xp)
-            self._Jh = CompiledFunction(expr.jacobian(nonlin_eq, x_leaves), xp)
-        else:
-            self.n_h = 0
-            self._h = self._Jh = None
-
-        self.labels = labels or {"k": [], "a": [], "g": [], "h": []}
-
-        cost_class = expr.classify(objective_expr, x_leaves)
-        self._classification = self._classify(cost_class <= expr.StructureClass.QUADRATIC)
+        symbolic, self.labels, quad_cost = _transcribe(
+            objective_expr, inequalities, equalities, decision.leaves()
+        )
+        p_layout = ("parameter", parameters.layout())
+        xp = (("variable", decision.layout()), p_layout)
+        fns = {}
+        for name in list(symbolic):  # each derivative graph is released once compiled
+            layouts = (p_layout,) if name in _PARAMETER_ONLY else xp
+            fns[name] = CompiledFunction(symbolic.pop(name), layouts)
+        self._f, self._grad, self._hess = fns["f"], fns["grad"], fns["hess"]
+        self._M, self._c, self._A, self._b = (fns.get(k) for k in _PARAMETER_ONLY)
+        self._g, self._Jg, self._h, self._Jh = (fns.get(k) for k in ("g", "Jg", "h", "Jh"))
+        self.n_k, self.n_a, self.n_g, self.n_h = (len(self.labels[k]) for k in "kagh")
+        self._classification = self._classify(quad_cost)
 
     def _classify(self, quad_cost: bool) -> ProblemClass:
         if self.n_g + self.n_h > 0:

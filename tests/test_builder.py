@@ -1,8 +1,12 @@
+import collections
+
 import numpy as np
 import pytest
 
 import taskopt as to
+from taskopt import expr
 from taskopt.builder import MIN_TIME_STEP, BuildError
+from taskopt.problem import ProblemClass
 
 
 class TestTaskModel:
@@ -213,6 +217,35 @@ class TestConstraints:
         b.add_decision_variables("x", 2)
         with pytest.raises(BuildError):
             b.build()
+
+    def test_no_derivative_is_built_twice(self, monkeypatch):
+        # limit rows (k), Euler rows (a), an obstacle row (g) and a tip
+        # equality (h) beside a nonlinear cost on the same tip
+        r = to.RobotModel(to.fixture_path("planar2r"), tip="ee", name="arm", time_derivs=(0, 1))
+        b = to.TaskBuilder(3, robots=[r])
+        goal = b.add_parameter("goal", 3)
+        tip = r.global_link_position("ee", b.get_model_state("arm", -1))
+        middle = r.global_link_position("ee", b.get_model_state("arm", 1))
+        b.add_cost_term("reach", to.sumsqr(tip - goal))
+        b.enforce_model_limits("arm")
+        b.integrate_model_states("arm", 1, 0.1)
+        b.add_leq_inequality_constraint("obstacle", 0.09, to.sumsqr(middle - [1.0, 1.0, 0.0]))
+        b.add_equality_constraint("tip", tip, goal)
+
+        built = collections.Counter()
+        diff = expr._diff
+
+        def counting(n, leaf, cache):
+            # the (node, leaf) pairs that get past the early returns and miss the cache
+            if n is not leaf and leaf in expr._deps(n) and (id(n), id(leaf)) not in cache:
+                built[n, leaf] += 1
+            return diff(n, leaf, cache)
+
+        monkeypatch.setattr(expr, "_diff", counting)
+        p = b.build()
+        assert min(p.n_k, p.n_a, p.n_g, p.n_h) > 0
+        assert p.classification is ProblemClass.NONLINEAR_COST_AND_CONSTRAINTS
+        assert built and max(built.values()) == 1
 
     def test_shape_broadcast(self):
         b = to.TaskBuilder(1)

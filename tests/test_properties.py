@@ -382,6 +382,21 @@ class TestRouting:
             got = M[i] @ X + c[i]
             assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
+        # each partition, bit for bit, is the public functions over its rows in label order
+        by_name = dict(rows)
+        bindings = {"x": X, "p": P}
+        jacobians = {"g": prob.nonlin_ineq_jacobian, "h": prob.nonlin_eq_jacobian}
+        for lin, nonlin in (("k", "g"), ("a", "h")):
+            if prob.labels[lin]:
+                stacked = to.vertcat(*(by_name[name] for name in prob.labels[lin]))
+                M, c = (to.evaluate(e, bindings) for e in to.extract_affine(stacked, x))
+                got_M, got_c = affine[lin]
+                assert got_M.tobytes() == M.tobytes() and got_c.tobytes() == c.ravel().tobytes()
+            if prob.labels[nonlin]:
+                stacked = to.vertcat(*(by_name[name] for name in prob.labels[nonlin]))
+                want = to.evaluate(to.jacobian(stacked, x), bindings)
+                assert jacobians[nonlin](X, P).tobytes() == want.tobytes()
+
 
 def _mixed_qp(rng, n, m_in, m_eq):
     """A strictly convex QP with inequality and equality rows and a known feasible point."""
