@@ -54,7 +54,11 @@ class ConstraintValues(NamedTuple):
 
 @dataclass
 class FeasibilityReport:
-    """Constraint residuals of a candidate point; every value is >= 0."""
+    """Constraint residuals of a candidate point; every value is >= 0.
+
+    A non-finite row (NaN or infinite) counts as violated by ``inf``, so a
+    point whose rows fail to evaluate is never reported feasible.
+    """
 
     equality_residual: float
     inequality_violation: float
@@ -148,6 +152,11 @@ class Problem:
         self._g, self._Jg, self._h, self._Jh = (fns.get(k) for k in ("g", "Jg", "h", "Jh"))
         self.n_k, self.n_a, self.n_g, self.n_h = (len(self.labels[k]) for k in "kagh")
         self._classification = self._classify(quad_cost)
+        # one constraint-name slot per row, in the report's row order [a; h; k; g]
+        names = [name for part in "ahkg" for name in self.labels[part]]
+        self._names = list(dict.fromkeys(names))
+        slot = {name: i for i, name in enumerate(self._names)}
+        self._slots = np.array([slot[name] for name in names], dtype=np.intp)
 
     def _classify(self, quad_cost: bool) -> ProblemClass:
         if self.n_g + self.n_h > 0:
@@ -175,12 +184,15 @@ class Problem:
     # evaluation -----------------------------------------------------------
     def _check(self, X, P) -> tuple[np.ndarray, np.ndarray]:
         X = np.asarray(X, dtype=float).ravel()
-        P = np.asarray(P, dtype=float).ravel()
         if X.size != self.n_x:
             raise ValueError(f"X has length {X.size}, expected {self.n_x}")
+        return X, self._check_p(P)
+
+    def _check_p(self, P) -> np.ndarray:
+        P = np.asarray(P, dtype=float).ravel()
         if P.size != self.n_p:
             raise ValueError(f"P has length {P.size}, expected {self.n_p}")
-        return X, P
+        return P
 
     def objective(self, X, P=()) -> float:
         X, P = self._check(X, P)
@@ -196,14 +208,14 @@ class Problem:
 
     def lin_ineq(self, P=()) -> tuple[np.ndarray, np.ndarray]:
         """(M, c) with k = M X + c >= 0."""
-        P = np.asarray(P, dtype=float).ravel()
+        P = self._check_p(P)
         if self._M is None:
             return np.zeros((0, self.n_x)), np.zeros(0)
         return self._M(P), self._c(P).ravel()
 
     def lin_eq(self, P=()) -> tuple[np.ndarray, np.ndarray]:
         """(A, b) with a = A X + b = 0."""
-        P = np.asarray(P, dtype=float).ravel()
+        P = self._check_p(P)
         if self._A is None:
             return np.zeros((0, self.n_x)), np.zeros(0)
         return self._A(P), self._b(P).ravel()
@@ -237,37 +249,21 @@ class Problem:
         )
 
     def feasibility(self, X, P=()) -> FeasibilityReport:
-        """Residual report; callers judge it with :meth:`FeasibilityReport.ok`."""
+        """Residual report; callers judge it with :meth:`FeasibilityReport.ok`.
+
+        A row's residual is ``|r|`` for an equality and ``max(-r, 0)`` for an
+        inequality; a non-finite row counts as violated by ``inf``.
+        """
         vals = self.constraints(X, P)
-        residuals: dict[str, float] = {}
-        worst_name, worst_val = None, -1.0
-
-        def fold(names, values, violation):
-            nonlocal worst_name, worst_val
-            for name, v in zip(names, values):
-                r = violation(v)
-                if r > residuals.get(name, -1.0):
-                    residuals[name] = r
-                if r > worst_val:
-                    worst_name, worst_val = name, r
-
-        eq_res = 0.0
-        for part, names in (("a", self.labels["a"]), ("h", self.labels["h"])):
-            values = getattr(vals, part)
-            if values.size:
-                eq_res = max(eq_res, float(np.abs(values).max()))
-            fold(names, values, lambda v: abs(float(v)))
-
-        ineq_vio = 0.0
-        for part, names in (("k", self.labels["k"]), ("g", self.labels["g"])):
-            values = getattr(vals, part)
-            if values.size:
-                ineq_vio = max(ineq_vio, float(np.maximum(-values, 0.0).max()))
-            fold(names, values, lambda v: max(-float(v), 0.0))
-
+        v = np.concatenate([vals.a, vals.h, vals.k, vals.g])
+        m_eq = self.n_a + self.n_h
+        r = np.concatenate([np.abs(v[:m_eq]), np.maximum(-v[m_eq:], 0.0)])
+        r[~np.isfinite(v)] = np.inf
+        per_name = np.zeros(len(self._names))
+        np.maximum.at(per_name, self._slots, r)
         return FeasibilityReport(
-            equality_residual=eq_res,
-            inequality_violation=ineq_vio,
-            worst_constraint=worst_name,
-            residuals=residuals,
+            equality_residual=float(r[:m_eq].max(initial=0.0)),
+            inequality_violation=float(r[m_eq:].max(initial=0.0)),
+            worst_constraint=self._names[self._slots[r.argmax()]] if r.size else None,
+            residuals=dict(zip(self._names, per_name.tolist())),
         )

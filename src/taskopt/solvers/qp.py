@@ -252,6 +252,14 @@ def _failed(n, m, termination) -> QPResult:
     )
 
 
+def _qp_rows(C_in, r_in, C_eq, r_eq):
+    """``(C, l, u)`` of the rows ``C_in x + r_in >= 0`` and ``C_eq x + r_eq = 0``."""
+    C = np.vstack([C_in, C_eq])
+    l = np.concatenate([-r_in, -r_eq])
+    u = np.concatenate([np.full(r_in.size, np.inf), -r_eq])
+    return C, l, u
+
+
 def solve_qp(H, q, C, l, u, y0=None, options: SolverOptions | None = None) -> QPResult:
     """Solve one convex QP exactly; ``y0`` is an optional dual guess for a warm start."""
     opts = options or SolverOptions()
@@ -340,11 +348,7 @@ class ActiveSetQP(SolverAdapter):
         q = prob.gradient(zeros, params)
         f0 = prob.objective(zeros, params)
 
-        M, c = prob.lin_ineq(params)
-        A, b = prob.lin_eq(params)
-        C = np.vstack([M, A])
-        lo = np.concatenate([-c, -b])
-        hi = np.concatenate([np.full(M.shape[0], np.inf), -b])
+        C, lo, hi = _qp_rows(*prob.lin_ineq(params), *prob.lin_eq(params))
 
         # warm-start the working set from the previous solve of this
         # session; the solver ignores a guess of the wrong size or with NaN

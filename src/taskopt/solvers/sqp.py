@@ -25,7 +25,7 @@ import numpy as np
 
 from ..problem import ProblemClass
 from .base import SolverAdapter, SolverOptions, Stats
-from .qp import solve_qp
+from .qp import _qp_rows, solve_qp
 
 __all__ = ["SQPSolver", "QuasiNewtonSolver", "damped_bfgs_update"]
 
@@ -103,19 +103,6 @@ class SQPSolver(SolverAdapter):
         self.options = options
         self._stats = Stats()
 
-    @staticmethod
-    def _violation(kv, gv, av, hv) -> float:
-        total = 0.0
-        if av.size:
-            total += float(np.abs(av).sum())
-        if hv.size:
-            total += float(np.abs(hv).sum())
-        if kv.size:
-            total += float(np.maximum(-kv, 0.0).sum())
-        if gv.size:
-            total += float(np.maximum(-gv, 0.0).sum())
-        return total
-
     # evaluation ------------------------------------------------------------
     def _values(self, x, params, M, c, A, b):
         """The objective and the stacked inequality and equality rows at x."""
@@ -143,11 +130,7 @@ class SQPSolver(SolverAdapter):
         opts = self.options
         n = B.shape[0]
         m_in, m_eq = C_in.shape[0], C_eq.shape[0]
-        C = np.vstack([C_in, C_eq]) if m_in + m_eq else np.zeros((0, n))
-        lo = np.concatenate([-r_in, -r_eq])
-        hi = np.concatenate([np.full(m_in, np.inf), -r_eq])
-
-        res = solve_qp(B, grad, C, lo, hi, y0=y0, options=opts)
+        res = solve_qp(B, grad, *_qp_rows(C_in, r_in, C_eq, r_eq), y0=y0, options=opts)
         if res.termination != "infeasible":
             return res.x, res.y, False
 
@@ -194,11 +177,10 @@ class SQPSolver(SolverAdapter):
 
         M, c = prob.lin_ineq(params)
         A, b = prob.lin_eq(params)
-        n_k, n_a = M.shape[0], A.shape[0]
-        m_in, m_eq = n_k + prob.n_g, n_a + prob.n_h
+        m_in, m_eq = prob.n_k + prob.n_g, prob.n_a + prob.n_h
 
         def violation(r_in, r_eq):
-            return self._violation(r_in[:n_k], r_in[n_k:], r_eq[:n_a], r_eq[n_a:])
+            return float(np.abs(r_eq).sum()) + float(np.maximum(-r_in, 0.0).sum())
 
         def merit(f_x, r_in_x, r_eq_x):
             """The l1 merit at the current penalty; inf where f is not finite."""

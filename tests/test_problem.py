@@ -74,6 +74,19 @@ class TestEvaluators:
         with pytest.raises(ValueError):
             p.objective(np.zeros(3), np.zeros(p.n_p))
 
+    def test_linear_blocks_check_parameter_length(self):
+        b = to.TaskBuilder(1)
+        x = b.add_decision_variables("x", 2)
+        p2 = b.add_parameter("p2", 2)
+        b.add_cost_term("c", to.sumsqr(x - p2))
+        b.add_leq_inequality_constraint("cap", x, p2)
+        b.add_equality_constraint("pin", x[0], p2[1])
+        p = b.build()
+        for method in (p.lin_ineq, p.lin_eq):
+            for P in ([1.0, 2.0, 99.0], []):
+                with pytest.raises(ValueError, match="P has length"):
+                    method(P)
+
     def test_linear_block_is_matrix_product(self):
         rng = np.random.default_rng(2)
         robot, p = _plan_problem()
@@ -179,22 +192,55 @@ class TestFeasibility:
         g = p.nonlin_ineq(X, P)
         assert np.abs(g).max() <= 1e-12
 
+    def test_non_finite_row_is_violated(self):
+        b = to.TaskBuilder(1)
+        x = b.add_decision_variables("x", 2)
+        b.add_cost_term("c", to.sumsqr(x))
+        b.add_equality_constraint("eq", to.log(x[0]) - 1.0)
+        b.add_leq_inequality_constraint("in", to.sqrt(x[1]), 5.0)
+        p = b.build()
+        rep = p.feasibility([-1.0, -1.0])
+        assert not rep.ok(1e-6)
+        assert rep.equality_residual == rep.inequality_violation == np.inf
+        assert rep.worst_constraint == "eq"  # equalities are read first
+        assert rep.residuals == {"eq": np.inf, "in": np.inf}
+
     def test_report_consistent_with_constraints(self):
         rng = np.random.default_rng(6)
         robot, p = _plan_problem()
         P = _params(p, rng)
-        X = rng.normal(scale=0.5, size=p.n_x)
-        rep = p.feasibility(X, P)
-        vals = p.constraints(X, P)
-        eq = max(
-            np.abs(vals.a).max(initial=0.0), np.abs(vals.h).max(initial=0.0)
+        points = [(rng.normal(scale=0.5, size=p.n_x), P) for _ in range(5)]
+        qc = np.array([0.8, 0.6])  # test_feasible_point's point
+        P_ok = p.parameters.vectorize(
+            {"qc": qc, "pg": [1.0, 1.0, 0.0], "center": [-1.5, -1.5, 0.0], "radius": 0.1}
         )
-        ineq = max(
-            np.maximum(-vals.k, 0.0).max(initial=0.0),
-            np.maximum(-vals.g, 0.0).max(initial=0.0),
-        )
-        assert rep.equality_residual == pytest.approx(eq, abs=0)
-        assert rep.inequality_violation == pytest.approx(ineq, abs=0)
+        points.append((p.decision.vectorize({"arm/0": np.tile(qc.reshape(-1, 1), (1, 6))}), P_ok))
+        for X, P in points:
+            rep = p.feasibility(X, P)
+            vals = p.constraints(X, P)
+            eq = max(
+                np.abs(vals.a).max(initial=0.0), np.abs(vals.h).max(initial=0.0)
+            )
+            ineq = max(
+                np.maximum(-vals.k, 0.0).max(initial=0.0),
+                np.maximum(-vals.g, 0.0).max(initial=0.0),
+            )
+            assert rep.equality_residual == pytest.approx(eq, abs=0)
+            assert rep.inequality_violation == pytest.approx(ineq, abs=0)
+
+            # the per-row rule: each name's largest residual, and the first
+            # row with the strictly largest residual, rows read a, h, k, g
+            residuals, worst, worst_r = {}, None, -1.0
+            for part in "ahkg":
+                for name, v in zip(p.labels[part], getattr(vals, part)):
+                    r = abs(float(v)) if part in "ah" else max(-float(v), 0.0)
+                    residuals[name] = max(residuals.get(name, r), r)
+                    if r > worst_r:
+                        worst, worst_r = name, r
+            assert list(rep.residuals.items()) == list(residuals.items())
+            assert rep.worst_constraint == worst
+        assert rep.max_violation == 0.0  # every row holds at the feasible point
+        assert worst == p.labels["a"][0]
 
 
 class TestClassification:
