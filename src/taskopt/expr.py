@@ -806,18 +806,58 @@ def jacobian(e, wrt) -> Expression:
     e = as_expression(e)
     if not e.is_column():
         raise ValueError(f"jacobian requires a column vector, got shape {e.shape}")
-    return _jacobian(e, _leaf_list(wrt), {})
+    leaves = _leaf_list(wrt)
+    return _dense(_jacobian(e._n[:, 0], leaves, {}), len(leaves))
 
 
-def _jacobian(e: Expression, leaves: Sequence[Node], cache: dict) -> Expression:
-    """:func:`jacobian` over prepared leaves, reusing the derivatives in ``cache``."""
-    out = np.empty((e.rows, len(leaves)), dtype=object)
-    for i in range(e.rows):
-        node = e._n[i, 0]
-        node_deps = _deps(node)
-        for j, leaf in enumerate(leaves):
-            out[i, j] = _diff(node, leaf, cache) if leaf in node_deps else _ZERO
+# A sparse matrix of nodes is one list of ``(col, node)`` pairs per row,
+# sorted by column; an absent entry is zero.
+
+
+def _columns(leaves: Sequence[Node]) -> dict:
+    """Map from each leaf to its columns (a leaf listed twice has two)."""
+    cols: dict = {}
+    for j, leaf in enumerate(leaves):
+        cols.setdefault(leaf, []).append(j)
+    return cols
+
+
+def _row_derivatives(node: Node, leaves, cols: dict, cache: dict, first: int = 0) -> list:
+    """``(j, d node / d leaves[j])`` for the columns ``j >= first`` of ``node``'s own leaves."""
+    pairs = []
+    for j in sorted(j for leaf in _deps(node) for j in cols.get(leaf, ()) if j >= first):
+        d = _diff(node, leaves[j], cache)
+        if d is not _ZERO:
+            pairs.append((j, d))
+    return pairs
+
+
+def _jacobian(rows: Iterable[Node], leaves: Sequence[Node], cache: dict) -> list[list]:
+    """Sparse Jacobian of scalar ``rows``, reusing the derivatives in ``cache``.
+
+    Each row differentiates only by the leaves it depends on.
+    """
+    cols = _columns(leaves)
+    return [_row_derivatives(node, leaves, cols, cache) for node in rows]
+
+
+def _dense(rows: Sequence[list], n: int) -> Expression:
+    """The ``len(rows)``-by-``n`` expression of a sparse matrix."""
+    out = np.full((len(rows), n), _ZERO, dtype=object)
+    for i, pairs in enumerate(rows):
+        for j, node in pairs:
+            out[i, j] = node
     return Expression(out)
+
+
+def _sparse_entries(rows: Sequence[list], n: int) -> tuple:
+    """``(shape, flat positions, nodes)`` of a sparse matrix, as :class:`CompiledFunction` takes it."""
+    positions, nodes = [], []
+    for i, pairs in enumerate(rows):
+        for j, node in pairs:
+            positions.append(i * n + j)
+            nodes.append(node)
+    return (len(rows), n), positions, nodes
 
 
 def gradient(e, wrt) -> Expression:
@@ -835,22 +875,25 @@ def hessian(e, wrt) -> Expression:
         raise ValueError("hessian requires a scalar expression")
     leaves = _leaf_list(wrt)
     cache: dict = {}
-    return _hessian(_jacobian(e, leaves, cache).T, leaves, cache)
+    (grad,) = _jacobian(e._n[0], leaves, cache)
+    return _dense(_hessian(grad, leaves, cache), len(leaves))
 
 
-def _hessian(g: Expression, leaves: Sequence[Node], cache: dict) -> Expression:
-    """Hessian from the gradient column ``g``, reusing the derivatives in ``cache``."""
-    n = len(leaves)
-    out = np.empty((n, n), dtype=object)
-    for i in range(n):
-        gi = g._n[i, 0]
-        gi_deps = _deps(gi)
-        for j in range(i, n):
-            leaf = leaves[j]
-            d = _diff(gi, leaf, cache) if leaf in gi_deps else _ZERO
-            out[i, j] = d
-            out[j, i] = d
-    return Expression(out)
+def _hessian(grad: list, leaves: Sequence[Node], cache: dict) -> list[list]:
+    """Sparse symmetric Hessian from the gradient's ``(col, node)`` pairs, reusing ``cache``.
+
+    Entry ``(i, j)`` with ``j >= i`` is the derivative of gradient entry
+    ``i`` by leaf ``j``, and ``(j, i)`` is the same node.
+    """
+    cols = _columns(leaves)
+    rows: list[list] = [[] for _ in leaves]
+    for i, gi in grad:
+        # the mirrored entries of row i (columns < i) came from earlier rows
+        for j, d in _row_derivatives(gi, leaves, cols, cache, first=i):
+            rows[i].append((j, d))
+            if j != i:
+                rows[j].append((i, d))
+    return rows
 
 
 # -- structure classification --------------------------------------------------
@@ -948,7 +991,7 @@ def extract_affine(e, wrt) -> tuple[Expression, Expression]:
     cls = _classify(e.entries(), frozenset(leaves), cache)
     if not cls <= StructureClass.LINEAR:
         raise ValueError(f"extract_affine on a {cls.value} expression")
-    return _jacobian(e, leaves, cache), _at_zero(e, leaves)
+    return _dense(_jacobian(e._n[:, 0], leaves, cache), len(leaves)), _at_zero(e, leaves)
 
 
 def _at_zero(e: Expression, leaves: Sequence[Node]) -> Expression:
@@ -1079,6 +1122,16 @@ _SOURCE_NAMES = {
 }
 
 
+def _nonzero_entries(e: Expression) -> tuple:
+    """``(shape, flat positions, nodes)`` of the entries of ``e`` that are not the constant +0.0."""
+    positions, nodes = [], []
+    for k, n in enumerate(e._n.flat):
+        if n.op != _CONST or n.val != 0.0 or math.copysign(1.0, n.val) < 0.0:
+            positions.append(k)
+            nodes.append(n)
+    return e.shape, positions, nodes
+
+
 class CompiledFunction:
     """Compiled evaluator of an expression over flat input vectors.
 
@@ -1095,15 +1148,23 @@ class CompiledFunction:
     ``_CHUNK_CHARS`` characters, and it and every later call run that
     code.  Both tiers apply the same Python float operations in the same
     order to every node, so their outputs are bit-identical.
+
+    ``e`` is an expression or its entries ``(shape, flat positions,
+    nodes)``, the positions row-major as ``out.flat`` indexes them.  Only
+    the given nodes are compiled; every other entry of the output is +0.0.
+    An expression is taken as its entries that are not +0.0, so a -0.0
+    constant keeps its sign.  A node given at several positions is
+    computed once.
     """
 
-    def __init__(self, e: Expression, layouts: Sequence[tuple[str, Mapping[str, tuple[int, int, int]]]]):
-        e = as_expression(e)
-        self.shape = e.shape
+    def __init__(self, e, layouts: Sequence[tuple[str, Mapping[str, tuple[int, int, int]]]]):
+        if not isinstance(e, tuple):
+            e = _nonzero_entries(as_expression(e))
+        self.shape, positions, nodes = e
 
         order: list[Node] = []
         index: dict[int, int] = {}
-        stack = [n for n in e._n.flat]
+        stack = list(nodes)
         while stack:
             n = stack[-1]
             if id(n) in index:
@@ -1132,15 +1193,13 @@ class CompiledFunction:
         self._tape = tape
         self._init = init
 
-        # Output entries, row-major as ``out.flat`` indexes them: computed
-        # entries read their tape value, constants other than +0.0 (a -0.0
-        # keeps its sign) are written once, and the rest stay zero.
+        # computed entries read their tape value, constants are written once
         var_idx, var_pos, const_idx, const_val = [], [], [], []
-        for k, n in enumerate(e._n.flat):
+        for k, n in zip(positions, nodes):
             if n.op != _CONST:
                 var_idx.append(k)
                 var_pos.append(index[id(n)])
-            elif n.val != 0.0 or math.copysign(1.0, n.val) < 0.0:
+            else:
                 const_idx.append(k)
                 const_val.append(n.val)
         self._var_idx = np.array(var_idx, dtype=np.intp)

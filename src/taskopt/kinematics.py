@@ -97,6 +97,7 @@ class RobotModel:
         self._base_offset: Expression | None = None
         self._extra_tips: dict[str, tuple[str, Expression]] = {}
         self._compiled: dict[tuple, expr.CompiledFunction] = {}
+        self._origins: dict[str, tuple[np.ndarray, Expression]] = {}
 
     def _actuated_under_base(self) -> list[UrdfJoint]:
         by_parent = self.urdf.joints_by_parent()
@@ -216,17 +217,21 @@ class RobotModel:
         chain = extract_chain(self.urdf, self.base_link, link)
         return chain, tip_T
 
-    @staticmethod
-    def _origin_transform(joint: UrdfJoint) -> Expression:
-        R = spatial.rpy_to_matrix(np.array(joint.origin_rpy))
-        return as_expression(spatial.transform_from(R, np.array(joint.origin_xyz)))
+    def _origin(self, joint: UrdfJoint) -> tuple[np.ndarray, Expression]:
+        """The joint's constant origin rotation and transform, built once per model."""
+        origin = self._origins.get(joint.name)
+        if origin is None:
+            R = spatial.rpy_to_matrix(np.array(joint.origin_rpy))
+            origin = R, as_expression(spatial.transform_from(R, np.array(joint.origin_xyz)))
+            self._origins[joint.name] = origin
+        return origin
 
     def _fk(self, link: str, qe: Expression, want_jacobian_data: bool = False):
         chain, tip_T = self._chain_to(link)
         T = self._base_offset if self._base_offset is not None else expr.constant(np.eye(4))
         axes = []  # (joint, z_i in world, p_i in world) for chain joints
         for joint in chain:
-            T = T @ self._origin_transform(joint)
+            T = T @ self._origin(joint)[1]
             if joint.actuated:
                 z = T[0:3, 0:3] @ expr.constant(np.array(joint.axis)).vec()
                 p = T[0:3, 3]
@@ -278,9 +283,8 @@ class RobotModel:
         if self._base_offset is not None:
             quat = compose(quat, spatial.matrix_to_quaternion(self._base_offset[0:3, 0:3]))
         for joint in chain:
-            rpy = np.array(joint.origin_rpy)
-            if np.any(rpy != 0.0):
-                R = spatial.rpy_to_matrix(rpy)
+            if any(v != 0.0 for v in joint.origin_rpy):
+                R = self._origin(joint)[0]
                 quat = compose(quat, expr.constant(spatial.matrix_to_quaternion(R)))
             if joint.actuated and joint.type in ("revolute", "continuous"):
                 qi = qe[self._joint_index[joint.name], 0]

@@ -14,9 +14,13 @@ structure tests) from one shared memo, so none is built twice.
 M, c, A, b hold no decision leaves by construction: M and A are the
 Jacobian rows of structurally linear rows, and c and b are those rows with
 every decision leaf set to 0.  They are compiled over P alone, which
-rejects any decision leaf that slips in.  All matrices are dense; the
-problem sizes this library targets (up to a few thousand decision
-variables) do not call for sparsity.
+rejects any decision leaf that slips in.
+
+Derivatives are built and compiled from their structural nonzeros: each
+row (and each gradient entry, for the Hessian) is differentiated only by
+the decision leaves it depends on, so a horizon problem's derivatives grow
+with its nonzeros, not with rows x columns.  Every evaluator still returns
+a dense numpy array; the entries outside the structure are +0.0.
 """
 
 from __future__ import annotations
@@ -86,30 +90,35 @@ def _transcribe(f: Expression, inequalities, equalities, x_leaves):
     Every derivative comes from one ``_diff`` memo: the gradient, Hessian,
     row Jacobians and the structure tests of rows and cost share each
     (node, leaf) derivative, so none is built twice.  The memo is released
-    on return, before anything is compiled.
+    on return, before anything is compiled.  Each derivative piece holds
+    only its structural nonzeros, as the entries
+    :class:`~taskopt.expr.CompiledFunction` takes.
     """
     memo: dict = {}
+    n = len(x_leaves)
     x_set = frozenset(x_leaves)
-    grad = expr._jacobian(f, x_leaves, memo).T
-    pieces = {"f": f, "grad": grad, "hess": expr._hessian(grad, x_leaves, memo)}
+    (grad,) = expr._jacobian(f.entries(), x_leaves, memo)
+    pieces = {
+        "f": f,
+        "grad": expr._sparse_entries([grad], n),  # a row; gradient() ravels it
+        "hess": expr._sparse_entries(expr._hessian(grad, x_leaves, memo), n),
+    }
     quad_cost = expr._classify(f.entries(), x_set, memo) <= expr.StructureClass.QUADRATIC
     labels: dict[str, list[str]] = {"k": [], "a": [], "g": [], "h": []}
     for (k, M, c, g, Jg), rows in zip(_SPLITS, (inequalities, equalities)):
-        if not rows:
-            continue
-        stack = Expression(np.array([node for _, node in rows], dtype=object))
+        stack = np.array([node for _, node in rows], dtype=object)
         J = expr._jacobian(stack, x_leaves, memo)
-        linear = np.array(
-            [expr._classify([node], x_set, memo) <= expr.StructureClass.LINEAR for _, node in rows]
-        )
+        linear = [expr._classify([node], x_set, memo) <= expr.StructureClass.LINEAR for node in stack]
         for (name, _), lin in zip(rows, linear):
             labels[k if lin else g].append(name)
-        if linear.any():
-            pieces[M] = Expression(J._n[linear])
-            pieces[c] = expr._at_zero(Expression(stack._n[linear]), x_leaves)
-        if not linear.all():
-            pieces[g] = Expression(stack._n[~linear])
-            pieces[Jg] = Expression(J._n[~linear])
+        lin_rows = [i for i, lin in enumerate(linear) if lin]
+        nonlin_rows = [i for i, lin in enumerate(linear) if not lin]
+        if lin_rows:
+            pieces[M] = expr._sparse_entries([J[i] for i in lin_rows], n)
+            pieces[c] = expr._at_zero(Expression(stack[lin_rows]), x_leaves)
+        if nonlin_rows:
+            pieces[g] = Expression(stack[nonlin_rows])
+            pieces[Jg] = expr._sparse_entries([J[i] for i in nonlin_rows], n)
     return pieces, labels, quad_cost
 
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import taskopt as to
-from taskopt import expr
+from taskopt import expr, problem, spatial
+from taskopt.expr import CompiledFunction
 from taskopt.builder import MIN_TIME_STEP, BuildError
 from taskopt.problem import ProblemClass
 
@@ -378,6 +379,56 @@ class TestIntegration:
         _, a, _, _ = p.constraints(X)
         expected = (q[:, 1:] - q[:, :-1] - 0.5 * dq).ravel(order="F")
         assert np.abs(a - expected).max() <= 1e-14
+
+
+def _horizon_task(T):
+    """planar2r tracking its tip reference stage by stage, with rate cost, Euler steps, limits and a pinned start."""
+    r = to.RobotModel(to.fixture_path("planar2r"), tip="ee", name="arm", time_derivs=(0, 1))
+    b = to.TaskBuilder(T, robots=[r])
+    ref = b.add_parameter("ref", 3, T)
+    tracking = to.constant(0.0)
+    for t in range(T):
+        tip = r.global_link_position("ee", b.get_model_state("arm", t))
+        tracking = tracking + to.sumsqr(tip - ref[:, t])
+    b.add_cost_term("tracking", tracking)
+    b.add_cost_term("rates", 1e-3 * to.sumsqr(b.model_block("arm", 1)))
+    b.add_equality_constraint("init", b.get_model_state("arm", 0), b.add_parameter("qc", 2))
+    b.integrate_model_states("arm", 1, 0.1)
+    b.enforce_model_limits("arm")
+    return r, b
+
+
+class TestHorizonGrowth:
+    def test_compiled_entries_grow_linearly(self, monkeypatch):
+        # entries handed to CompiledFunction: nonzeros for a sparse piece,
+        # every entry for a dense expression
+        handed = {}
+
+        class Recording(CompiledFunction):
+            def __init__(self, e, layouts):
+                super().__init__(e, layouts)
+                handed[id(self)] = len(e[2]) if isinstance(e, tuple) else e.rows * e.cols
+
+        monkeypatch.setattr(problem, "CompiledFunction", Recording)
+        counts = []
+        for T in (4, 8):
+            p = _horizon_task(T)[1].build()
+            counts.append(np.array([handed[id(fn)] for fn in (p._hess, p._M, p._A)]))
+        # a stage adds a fixed number of nonzeros; dense n x n or rows x n pieces grow about 4x
+        assert (counts[1] <= 2.25 * counts[0]).all(), counts
+
+    def test_joint_origins_built_once_per_model(self, monkeypatch):
+        calls = []
+        rpy_to_matrix = spatial.rpy_to_matrix
+
+        def counting(rpy):
+            calls.append(rpy)
+            return rpy_to_matrix(rpy)
+
+        monkeypatch.setattr(spatial, "rpy_to_matrix", counting)
+        r, b = _horizon_task(8)
+        b.build()
+        assert 0 < len(calls) <= len(to.extract_chain(r.urdf, r.base_link, "ee"))
 
 
 def _arm():

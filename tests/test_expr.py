@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import taskopt as to
+from taskopt import expr
 from taskopt.expr import CompiledFunction
 
 from conftest import central_difference, relative_error
@@ -272,3 +273,50 @@ class TestSubstituteAndCompile:
         x = to.variable("x")
         fn = CompiledFunction(to.log(x), (("variable", {"x": (0, 1, 1)}),))
         assert np.isnan(fn(np.array([-1.0]))[0, 0])
+
+
+class TestCompiledEntries:
+    """A CompiledFunction given ``(shape, flat positions, nodes)`` in place of an expression."""
+
+    LAYOUT = (("variable", {"x": (0, 2, 1)}),)
+
+    @staticmethod
+    def _tiers(fn, *vectors):
+        """One output per call, across the tape and the generated code."""
+        return [fn(*vectors) for _ in range(1 + expr._GENERATE_ON_CALL)]
+
+    def test_no_entries_gives_zeros(self):
+        fn = CompiledFunction(((3, 4), [], []), self.LAYOUT)
+        for out in self._tiers(fn, np.array([1.0, 2.0])):
+            assert out.shape == (3, 4) and not out.any() and not np.signbit(out).any()
+
+    def test_raw_negative_zero_keeps_its_sign(self):
+        x = to.variable("x", 2)
+        entries = ((2, 2), [1, 2], [expr.Node(expr._CONST, val=-0.0), x._n[0, 0]])
+        for out in self._tiers(CompiledFunction(entries, self.LAYOUT), np.array([5.0, 6.0])):
+            assert out.tolist() == [[0.0, 0.0], [5.0, 0.0]]
+            assert np.signbit(out).tolist() == [[False, True], [False, False]]
+
+    def test_node_at_two_positions_is_computed_once(self):
+        # a mirrored Hessian entry: (0, 1) and (1, 0) are one node
+        x = to.variable("x", 2)
+        x0, x1 = x._n[0, 0], x._n[1, 0]
+        cross = x0 * x1
+        fn = CompiledFunction(((2, 2), [0, 1, 2], [x0 * x0, cross, cross]), self.LAYOUT)
+        assert len(fn._tape) == 4  # the two leaves, x0 * x0 and x0 * x1
+        for out in self._tiers(fn, np.array([3.0, 5.0])):
+            assert out.tolist() == [[9.0, 15.0], [15.0, 0.0]]
+        assert fn._n_slots == 2
+
+    def test_fault_gives_all_nan_on_both_tiers(self):
+        x = to.variable("x", 2)
+        x0, x1 = x._n[0, 0], x._n[1, 0]
+        entries = ((2, 3), [0, 4], [x0 + 1.0, 1.0 / (x0 - x1)])
+        fn = CompiledFunction(entries, self.LAYOUT)
+        for out in self._tiers(fn, np.array([2.0, 1.0])):
+            assert out.tolist() == [[3.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
+        assert fn._chunks is not None
+        fault = CompiledFunction(entries, self.LAYOUT)
+        for out in self._tiers(fault, np.array([1.0, 1.0])):
+            assert out.shape == (2, 3) and np.isnan(out).all()
+        assert fault._chunks is not None

@@ -398,6 +398,50 @@ class TestRouting:
                 assert jacobians[nonlin](X, P).tobytes() == want.tobytes()
 
 
+@st.composite
+def dag_costs(draw):
+    """A TaskBuilder whose one cost term is a random DAG node over its own x (3) and p (2)."""
+    b = to.TaskBuilder(T=1)
+    x = b.add_decision_variables("x", 3)
+    p = b.add_parameter("p", 2)
+    pool = [x._n[i, 0] for i in range(3)] + [p._n[j, 0] for j in range(2)]
+    pool += [_raw_const(v) for v in draw(st.lists(_values, min_size=1, max_size=3))]
+    grown = _grow(draw, list(pool))[len(pool):]
+    f = Expression(np.array([[draw(st.sampled_from(grown))]], dtype=object))
+    b.add_cost_term("f", f)
+    return b, x, f
+
+
+class TestSparseDerivatives:
+    @_PROPERTY
+    @given(
+        task=dag_costs(),
+        xv=st.lists(_values, min_size=3, max_size=3),
+        pv=st.lists(_values, min_size=2, max_size=2),
+    )
+    def test_problem_derivatives_match_dense_ones(self, task, xv, pv):
+        b, x, f = task
+        prob = b.build()
+        X, P = np.array(xv), np.array(pv)
+        bindings = {"x": X, "p": P}
+        for got, sym in ((prob.gradient(X, P), to.gradient(f, x)), (prob.hessian(X, P), to.hessian(f, x))):
+            want = to.evaluate(sym, bindings)
+            if want.size and np.isnan(want).all():
+                # a fault in any entry makes the whole output NaN
+                event("fault")
+            assert got.dtype == want.dtype and got.size == want.size
+            assert got.tobytes() == want.tobytes()
+
+        # apart from the shared core: the upper triangle is the Jacobian of the
+        # gradient, and the lower one mirrors it
+        H = prob.hessian(X, P)
+        assert H.tobytes() == H.T.copy().tobytes()
+        full = to.evaluate(to.jacobian(to.gradient(f, x), x), bindings)
+        if not np.isnan(full).all():
+            upper = np.triu_indices(3)
+            assert H[upper].tobytes() == full[upper].tobytes()
+
+
 def _mixed_qp(rng, n, m_in, m_eq):
     """A strictly convex QP with inequality and equality rows and a known feasible point."""
     G = rng.normal(size=(n, n))
