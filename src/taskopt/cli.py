@@ -58,7 +58,6 @@ _COMMON_DEFAULTS = {
 _DEFAULTS = {
     "ik": {
         **_COMMON_DEFAULTS,
-        "T": 1,
         "goal": [2.0, 0.0, 0.0],
         "nominal": None,
         "regularizer": 1e-3,
@@ -578,10 +577,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--urdf")
         p.add_argument("--base")
         p.add_argument("--tip")
-        p.add_argument("--T", type=int)
-        p.add_argument("--dt", type=float)
         p.add_argument("--solver")
         p.add_argument("--out")
+        if name == "plan":
+            p.add_argument("--T", type=int)
+            p.add_argument("--dt", type=float)
         if name == "track":
             p.add_argument("--manip-weight", dest="manip_weight", type=float)
             p.add_argument("--cold", action="store_const", const=True, default=None)

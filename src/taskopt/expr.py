@@ -84,7 +84,6 @@ _DIV = 12
 _POW = 13
 _ATAN2 = 14
 
-_UNARY_OPS = frozenset((_NEG, _SIN, _COS, _TAN, _SQRT, _EXP, _LOG))
 _BINARY_OPS = frozenset((_ADD, _SUB, _MUL, _DIV, _POW, _ATAN2))
 
 
@@ -327,6 +326,27 @@ _MAKE = {
     _EXP: _exp,
     _LOG: _log,
 }
+
+
+def _postorder(roots: Iterable[Node]) -> dict[int, Node]:
+    """Every node reachable from ``roots``, keyed by ``id``, once each, after its operands."""
+    out: dict[int, Node] = {}
+    stack = list(roots)
+    while stack:
+        n = stack[-1]
+        if id(n) in out:
+            stack.pop()
+            continue
+        # operands not yet listed go above n, a below b; n is listed once none is left
+        a, b = n.a, n.b
+        if a is not None and id(a) not in out:
+            stack.append(a)
+        if b is not None and id(b) not in out:
+            stack.append(b)
+        if stack[-1] is n:
+            out[id(n)] = n
+            stack.pop()
+    return out
 
 
 def _deps(n: Node) -> frozenset:
@@ -926,22 +946,10 @@ _CLASS_RANK = {
 def _has_hard_nonlinearity(nodes: Iterable[Node], wrt: frozenset) -> bool:
     # division by a wrt-dependent denominator and atan2 of wrt-dependent
     # arguments are nonlinear regardless of what derivatives simplify to
-    seen: set[int] = set()
-    stack = list(nodes)
-    while stack:
-        n = stack.pop()
-        if id(n) in seen:
-            continue
-        seen.add(id(n))
-        if n.op == _DIV and (_deps(n.b) & wrt):
-            return True
-        if n.op == _ATAN2 and ((_deps(n.a) | _deps(n.b)) & wrt):
-            return True
-        if n.a is not None:
-            stack.append(n.a)
-        if n.b is not None:
-            stack.append(n.b)
-    return False
+    return any(
+        (n.op == _DIV and _deps(n.b) & wrt) or (n.op == _ATAN2 and (_deps(n.a) | _deps(n.b)) & wrt)
+        for n in _postorder(nodes).values()
+    )
 
 
 def classify(e, wrt) -> StructureClass:
@@ -1005,28 +1013,15 @@ def _at_zero(e: Expression, leaves: Sequence[Node]) -> Expression:
 def _rebuild(roots: Sequence[Node], leaf_map: Mapping[int, Node]) -> list[Node]:
     """Bottom-up reconstruction through the smart constructors."""
     out: dict[int, Node] = {}
-    stack = list(roots)
-    while stack:
-        n = stack[-1]
-        if id(n) in out:
-            stack.pop()
-            continue
+    for key, n in _postorder(roots).items():
         if n.op == _CONST:
-            out[id(n)] = n
-            stack.pop()
+            out[key] = n
         elif n.op == _LEAF:
-            out[id(n)] = leaf_map.get(id(n), n)
-            stack.pop()
+            out[key] = leaf_map.get(key, n)
+        elif n.b is None:
+            out[key] = _MAKE[n.op](out[id(n.a)])
         else:
-            pending = [c for c in (n.a, n.b) if c is not None and id(c) not in out]
-            if pending:
-                stack.extend(pending)
-                continue
-            a = out[id(n.a)]
-            b = out[id(n.b)] if n.b is not None else None
-            fn = _MAKE[n.op]
-            out[id(n)] = fn(a, b) if b is not None else fn(a)
-            stack.pop()
+            out[key] = _MAKE[n.op](out[id(n.a)], out[id(n.b)])
     return [out[id(r)] for r in roots]
 
 
@@ -1162,21 +1157,9 @@ class CompiledFunction:
             e = _nonzero_entries(as_expression(e))
         self.shape, positions, nodes = e
 
-        order: list[Node] = []
-        index: dict[int, int] = {}
-        stack = list(nodes)
-        while stack:
-            n = stack[-1]
-            if id(n) in index:
-                stack.pop()
-                continue
-            pending = [c for c in (n.a, n.b) if c is not None and id(c) not in index]
-            if pending:
-                stack.extend(pending)
-                continue
-            index[id(n)] = len(order)
-            order.append(n)
-            stack.pop()
+        walk = _postorder(nodes)
+        order = list(walk.values())
+        index = dict(zip(walk, range(len(order))))
 
         tape = []
         init = [0.0] * len(order)

@@ -50,14 +50,8 @@ class QPResult:
     converged: bool
     iterations: int
     termination: str
-    primal_residual: float = 0.0
-    dual_residual: float = 0.0
     objective_history: np.ndarray = field(default_factory=lambda: np.zeros(0))
     step_history: np.ndarray = field(default_factory=lambda: np.zeros(0))
-
-    @property
-    def max_residual(self) -> float:
-        return max(self.primal_residual, self.dual_residual)
 
 
 def _inverse_factor(H):
@@ -314,15 +308,12 @@ def solve_qp(H, q, C, l, u, y0=None, options: SolverOptions | None = None) -> QP
 
     x, y = ws.x, ws.multipliers(m)
     X = np.asarray(ws.iterates)
-    Cx = C @ x
     return QPResult(
         x=x,
         y=y,
         converged=termination == "kkt-tolerance",
         iterations=ws.iterations,
         termination=termination,
-        primal_residual=float(np.maximum(np.maximum(l - Cx, Cx - u), 0.0).max(initial=0.0)),
-        dual_residual=float(np.abs(H @ x + q + C.T @ y).max(initial=0.0)),
         objective_history=((0.5 * X @ H + q) * X).sum(axis=1),
         step_history=np.concatenate([[0.0], np.abs(np.diff(X, axis=0)).max(axis=1)]),
     )

@@ -138,36 +138,19 @@ class SQPSolver(SolverAdapter):
         # equality row, all nonnegative and priced into the objective; the
         # slacks' small curvature keeps the QP strictly convex.
         w = _ELASTIC_WEIGHT * max(mu, 1.0)
-        n_aug = n + m_in + 2 * m_eq
-        H_aug = _MIN_EIGENVALUE * np.eye(n_aug)
-        H_aug[:n, :n] = B
-        q_aug = np.concatenate([grad, np.full(m_in + 2 * m_eq, w)])
-
-        rows = m_in + m_eq + (m_in + 2 * m_eq)
-        C_aug = np.zeros((rows, n_aug))
-        lo_aug = np.empty(rows)
-        hi_aug = np.empty(rows)
-        r = 0
-        if m_in:
-            C_aug[r : r + m_in, :n] = C_in
-            C_aug[r : r + m_in, n : n + m_in] = np.eye(m_in)
-            lo_aug[r : r + m_in] = -r_in
-            hi_aug[r : r + m_in] = np.inf
-            r += m_in
-        if m_eq:
-            C_aug[r : r + m_eq, :n] = C_eq
-            C_aug[r : r + m_eq, n + m_in : n + m_in + m_eq] = -np.eye(m_eq)
-            C_aug[r : r + m_eq, n + m_in + m_eq :] = np.eye(m_eq)
-            lo_aug[r : r + m_eq] = -r_eq
-            hi_aug[r : r + m_eq] = -r_eq
-            r += m_eq
         n_slack = m_in + 2 * m_eq
-        C_aug[r :, n:] = np.eye(n_slack)
-        lo_aug[r:] = 0.0
-        hi_aug[r:] = np.inf
+        H_aug = _MIN_EIGENVALUE * np.eye(n + n_slack)
+        H_aug[:n, :n] = B
+        q_aug = np.concatenate([grad, np.full(n_slack, w)])
+        # over (d, slacks): the rows [C_in, I, 0] + r_in >= 0 with the slack
+        # bounds [0, I] >= 0, and the rows [C_eq, 0, -I, I] + r_eq = 0
+        I_in, I_eq = np.eye(m_in, n_slack), np.eye(m_eq)
+        C_in_aug = np.block([[C_in, I_in], [np.zeros((n_slack, n)), np.eye(n_slack)]])
+        r_in_aug = np.concatenate([r_in, np.zeros(n_slack)])
+        C_eq_aug = np.hstack([C_eq, np.zeros((m_eq, m_in)), -I_eq, I_eq])
 
-        res = solve_qp(H_aug, q_aug, C_aug, lo_aug, hi_aug, options=opts)
-        return res.x[:n], res.y[: m_in + m_eq], True
+        res = solve_qp(H_aug, q_aug, *_qp_rows(C_in_aug, r_in_aug, C_eq_aug, r_eq), options=opts)
+        return res.x[:n], np.concatenate([res.y[:m_in], res.y[m_in + n_slack :]]), True
 
     # main loop -------------------------------------------------------------
     def solve(self, x0, params):

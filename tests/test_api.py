@@ -1,6 +1,8 @@
 """The package's public names: ``taskopt.__all__`` and ``taskopt.solvers.__all__``
 are part of its stable API."""
 
+import dataclasses
+
 import taskopt as to
 import taskopt.solvers
 
@@ -85,3 +87,16 @@ def test_solvers_all_is_pinned_and_every_name_resolves():
     assert sorted(taskopt.solvers.__all__) == _SOLVERS_PUBLIC
     for name in taskopt.solvers.__all__:
         assert hasattr(taskopt.solvers, name), name
+
+
+def test_qp_result_fields_are_pinned():
+    fields = [f.name for f in dataclasses.fields(taskopt.solvers.QPResult)]
+    assert fields == [
+        "x",
+        "y",
+        "converged",
+        "iterations",
+        "termination",
+        "objective_history",
+        "step_history",
+    ]

@@ -9,6 +9,8 @@ from taskopt.cli import (
     EXIT_INPUT,
     EXIT_OK,
     EXIT_SOLVER,
+    _build_parser,
+    _load_config,
     figure_eight,
     main,
     run_ik,
@@ -72,6 +74,11 @@ class TestIkCommand:
         cfgf.write_text(json.dumps({"goal_position": [1, 0, 0]}))
         assert main(["ik", "--config", str(cfgf)]) == EXIT_INPUT
 
+    def test_horizon_key_exits_2(self, tmp_path):
+        cfgf = tmp_path / "cfg.json"
+        cfgf.write_text(json.dumps({"T": 1}))
+        assert main(["ik", "--config", str(cfgf)]) == EXIT_INPUT
+
 
 class TestPlanCommand:
     def test_default_plan_succeeds(self, tmp_path):
@@ -80,6 +87,10 @@ class TestPlanCommand:
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "t,q0,q1"
         assert len(lines) == 1 + _DEFAULTS["plan"]["T"]
+
+    def test_horizon_flags_override_config(self):
+        cfg = _load_config("plan", _build_parser().parse_args(["plan", "--T", "5", "--dt", "0.2"]))
+        assert (cfg["T"], cfg["dt"]) == (5, 0.2)
 
     def test_byte_deterministic(self, tmp_path):
         out1, out2 = tmp_path / "p1.csv", tmp_path / "p2.csv"
@@ -126,6 +137,13 @@ class TestTrackCommand:
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "waypoint,position_error,solve_ms,iterations"
         assert len(lines) == 9
+
+    @pytest.mark.parametrize("flag", ["--T", "--dt"])
+    def test_horizon_flags_are_rejected(self, flag):
+        # only plan has a horizon
+        with pytest.raises(SystemExit) as err:
+            main(["track", flag, "5"])
+        assert err.value.code == EXIT_INPUT
 
     def test_figure_eight_shape(self):
         path = figure_eight([1.0, 0.5, 0.0], 0.3, 0.15, 5)

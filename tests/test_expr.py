@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -268,6 +270,17 @@ class TestSubstituteAndCompile:
             assert np.allclose(
                 fn(xv, pv), to.evaluate(e, {"x": xv, "p": pv}), rtol=0, atol=1e-14
             )
+
+    def test_simplify_deep_chain(self):
+        # the walk is iterative: a chain far deeper than the recursion limit
+        depth = 20_000
+        assert sys.getrecursionlimit() < depth
+        x = to.variable("x")
+        e = x
+        for _ in range(depth):
+            e = to.sin(e)
+        simple = to.simplify(e)
+        assert to.evaluate(simple, {"x": 0.5}).tobytes() == to.evaluate(e, {"x": 0.5}).tobytes()
 
     def test_compiled_function_nan_on_domain_error(self):
         x = to.variable("x")

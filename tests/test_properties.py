@@ -127,6 +127,27 @@ def _reference_evaluate(e, bindings):
     return np.array([[value(n) for n in row] for row in e._n], dtype=float)
 
 
+class TestPostorder:
+    @_PROPERTY
+    @given(e=dags())
+    def test_every_reachable_node_once_after_its_operands(self, e):
+        roots = list(e._n.flat)
+        reachable, stack = {}, list(roots)
+        while stack:
+            n = stack.pop()
+            if id(n) not in reachable:
+                reachable[id(n)] = n
+                stack.extend(c for c in (n.a, n.b) if c is not None)
+        walk = expr._postorder(roots)
+        assert all(key == id(n) for key, n in walk.items())
+        assert walk.keys() == reachable.keys()
+        position = {key: k for k, key in enumerate(walk)}
+        for key, n in walk.items():
+            for c in (n.a, n.b):
+                if c is not None:
+                    assert position[id(c)] < position[key]
+
+
 class TestCompiledFunction:
     @_PROPERTY
     @given(

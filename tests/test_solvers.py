@@ -411,6 +411,26 @@ class TestSQPSolver:
         repeated = sorted(name for (name, _), k in counting.calls.items() if k > 1)
         assert repeated == []
 
+    def test_elastic_step_on_infeasible_linearisation(self):
+        # d >= 1, d <= -1 and 0 d = -1 cannot all hold.  The elastic QP
+        # prices each slack at w = 1e3 with curvature eps: both inequality
+        # slacks s = 1 -/+ d and the equality's split slack p = 1 are
+        # positive, so d minimizes 0.5 d^2 + 0.3 d + 0.5 eps |s|^2
+        adapter = SQPSolver()
+        adapter.initialize(None, SolverOptions())
+        C_in, r_in = np.array([[1.0], [-1.0]]), np.array([-1.0, -1.0])
+        C_eq, r_eq = np.zeros((1, 1)), np.array([1.0])
+        d, y, elastic = adapter._subproblem(
+            np.eye(1), np.array([0.3]), C_in, r_in, C_eq, r_eq, np.zeros(3), 1.0
+        )
+        assert elastic
+        w, eps = 1e3, 1e-6
+        d_star = -0.3 / (1.0 + 2.0 * eps)
+        assert d == pytest.approx([d_star], rel=1e-12)
+        # [y_in; y_eq] from stationarity in each slack
+        y_star = [-(w + eps * (1.0 - d_star)), -(w + eps * (1.0 + d_star)), w + eps]
+        assert y == pytest.approx(y_star, rel=1e-12)
+
     def test_nan_at_seed(self):
         b = to.TaskBuilder(1)
         x = b.add_decision_variables("x", 1)
