@@ -20,7 +20,10 @@ Derivatives are built and compiled from their structural nonzeros: each
 row (and each gradient entry, for the Hessian) is differentiated only by
 the decision leaves it depends on, so a horizon problem's derivatives grow
 with its nonzeros, not with rows x columns.  Every evaluator still returns
-a dense numpy array; the entries outside the structure are +0.0.
+a dense numpy array; the entries outside the structure are +0.0.  The
+connected components of the Hessian's structure are kept as
+:attr:`Problem.hessian_blocks`: a stage-wise cost has a block-diagonal
+Hessian, and a solver can then work on each block alone.
 """
 
 from __future__ import annotations
@@ -122,6 +125,38 @@ def _transcribe(f: Expression, inequalities, equalities, x_leaves):
     return pieces, labels, quad_cost
 
 
+def _hessian_blocks(positions, n: int) -> tuple[np.ndarray, ...]:
+    """The connected components of the sparsity graph of an n x n matrix, grouped by size.
+
+    ``positions`` are the flat positions of the structural nonzeros.  One
+    read-only int array per block size, smallest size first; each row holds
+    one block's columns in ascending order, and the rows are ordered by
+    their first column.  A column with no nonzero is a block of its own.
+    """
+    first = list(range(n))  # union-find; a root is its block's first column
+
+    def find(i: int) -> int:
+        while first[i] != i:
+            first[i] = i = first[first[i]]
+        return i
+
+    for p in positions:
+        i, j = find(p // n), find(p % n)
+        first[max(i, j)] = min(i, j)
+    blocks: dict[int, list] = {}
+    for col in range(n):
+        blocks.setdefault(find(col), []).append(col)
+    by_size: dict[int, list] = {}
+    for cols in blocks.values():
+        by_size.setdefault(len(cols), []).append(cols)
+    groups = []
+    for size in sorted(by_size):
+        group = np.array(by_size[size], dtype=np.intp)
+        group.flags.writeable = False
+        groups.append(group)
+    return tuple(groups)
+
+
 class Problem:
     """Compiled canonical problem over flat vectors X (decision) and P (parameter).
 
@@ -129,7 +164,9 @@ class Problem:
     scalar row, read as ``row >= 0`` and ``row == 0``.  A row goes to its
     linear partition (k or a) when ``classify(row, X) <= LINEAR`` and to its
     nonlinear one (g or h) otherwise; ``labels`` lists each partition's row
-    labels in row order.
+    labels in row order.  ``hessian_blocks`` partitions the columns of X
+    into the connected components of the cost Hessian's structure (see
+    :func:`_hessian_blocks`): no entry of ∇²f couples two blocks.
     """
 
     def __init__(
@@ -150,6 +187,7 @@ class Problem:
         symbolic, self.labels, quad_cost = _transcribe(
             objective_expr, inequalities, equalities, decision.leaves()
         )
+        self._hessian_blocks = _hessian_blocks(symbolic["hess"][1], self.n_x)
         p_layout = ("parameter", parameters.layout())
         xp = (("variable", decision.layout()), p_layout)
         fns = {}
@@ -189,6 +227,10 @@ class Problem:
     @property
     def classification(self) -> ProblemClass:
         return self._classification
+
+    @property
+    def hessian_blocks(self) -> tuple[np.ndarray, ...]:
+        return self._hessian_blocks
 
     # evaluation -----------------------------------------------------------
     def _check(self, X, P) -> tuple[np.ndarray, np.ndarray]:

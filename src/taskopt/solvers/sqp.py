@@ -6,8 +6,12 @@ iteration's multipliers, and backtracks on the l1 merit function.  The
 Lagrangian Hessian is modeled by damped BFGS, seeded from the exact cost
 Hessian projected to be positive definite (for sum-of-squares costs near a
 solution this coincides with a Gauss-Newton seed), so every subproblem is
-strictly convex.  Only a subproblem the QP certifies infeasible is solved
-again, with elastic slacks weighted by 1e3 times the current penalty.
+strictly convex.  The projection works on the diagonal blocks of the cost
+Hessian's structure (``Problem.hessian_blocks``), one small
+eigendecomposition per block, so for a stage-wise cost it grows linearly
+with the horizon rather than with the cube of n.  Only a subproblem the QP
+certifies infeasible is solved again, with elastic slacks weighted by 1e3
+times the current penalty.
 
 Each point is evaluated once: the line search computes f and the rows at
 every trial point, and the loop computes the derivatives at the accepted
@@ -33,25 +37,52 @@ _MIN_EIGENVALUE = 1e-6
 _ELASTIC_WEIGHT = 1e3
 
 
-def _psd_projection(H: np.ndarray, relative_floor: float = 1e-3) -> np.ndarray:
-    """Clip the spectrum from below.
+def _block_positions(blocks, n: int) -> tuple[np.ndarray, ...]:
+    """Flat positions in an n x n matrix of each size group of ``blocks``.
 
-    The default floor scales with the largest eigenvalue so flat cost
+    ``blocks`` is laid out as :attr:`Problem.hessian_blocks`: one int array
+    per block size, a block's columns per row.  A group of k blocks of size
+    b gives a (k, b, b) array.
+    """
+    return tuple(block[:, :, None] * n + block[:, None, :] for block in blocks)
+
+
+def _psd_projection(H: np.ndarray, blocks, relative_floor: float = 1e-3) -> np.ndarray:
+    """Clip the spectrum from below, one diagonal block at a time.
+
+    ``blocks`` are the :func:`_block_positions` of a partition of H's
+    columns into blocks that no entry of H couples.  Each block size is
+    decomposed by one batched ``eigh``, and 1 x 1 blocks are clipped
+    directly, so the cost grows with the blocks, not with n; the spectrum
+    of H is the union of theirs.  With one block this is the projection of
+    the whole matrix, to the byte.
+
+    The default floor scales with the largest eigenvalue of H so flat cost
     directions still give the QP subproblem workable curvature early on;
     a zero relative floor keeps the Hessian nearly exact for endgame
     (Newton-quality) steps.
     """
     n = H.shape[0]
-    if not np.all(np.isfinite(H)):
+    if not np.isfinite(H).all():
         return np.eye(n)
-    H = 0.5 * (H + H.T)
+    spectra = []  # (positions, eigenvalues, eigenvectors or None for 1 x 1 blocks)
     try:
-        w, V = np.linalg.eigh(H)
+        for at in blocks:
+            if at.shape[-1] == 1:
+                spectra.append((at, H.take(at), None))
+                continue
+            Hb = H.take(at)
+            w, V = np.linalg.eigh(0.5 * (Hb + Hb.transpose(0, 2, 1)))
+            spectra.append((at, w, V))
     except np.linalg.LinAlgError:
         return np.eye(n)
-    floor = max(_MIN_EIGENVALUE, relative_floor * float(w.max(initial=0.0)))
-    w = np.clip(w, floor, None)
-    return (V * w) @ V.T
+    top = max([w.max() for _, w, _ in spectra], default=0.0)
+    floor = max(_MIN_EIGENVALUE, relative_floor * float(top))
+    B = np.zeros((n, n))
+    for at, w, V in spectra:
+        w = np.maximum(w, floor)
+        B.put(at, w if V is None else (V * w[..., None, :]) @ V.transpose(0, 2, 1))
+    return B
 
 
 def damped_bfgs_update(B: np.ndarray, s: np.ndarray, y: np.ndarray):
@@ -102,6 +133,7 @@ class SQPSolver(SolverAdapter):
         self.problem = problem
         self.options = options
         self._stats = Stats()
+        self._blocks = None  # _block_positions of the cost Hessian, on the first solve
 
     # evaluation ------------------------------------------------------------
     def _values(self, x, params, M, c, A, b):
@@ -156,6 +188,9 @@ class SQPSolver(SolverAdapter):
     def solve(self, x0, params):
         prob, opts = self.problem, self.options
         n = prob.n_x
+        if self._blocks is None:
+            self._blocks = _block_positions(prob.hessian_blocks, n)
+        blocks = self._blocks
         x = np.asarray(x0, dtype=float).copy()
 
         M, c = prob.lin_ineq(params)
@@ -171,7 +206,7 @@ class SQPSolver(SolverAdapter):
                 return np.inf
             return f_x + mu * violation(r_in_x, r_eq_x)
 
-        B = _psd_projection(prob.hessian(x, params))
+        B = _psd_projection(prob.hessian(x, params), blocks)
         lam = np.zeros(m_in)  # inequality multipliers, >= 0
         nu = np.zeros(m_eq)  # equality multipliers
         mu = 1.0
@@ -247,7 +282,7 @@ class SQPSolver(SolverAdapter):
                 # cost Hessian once, then declare a stall at the best point
                 ls_failures += 1
                 if ls_failures < 2:
-                    B = _psd_projection(prob.hessian(x, params), relative_floor=0.0)
+                    B = _psd_projection(prob.hessian(x, params), blocks, relative_floor=0.0)
                     obj_hist.append(f)
                     step_hist.append(0.0)
                     continue
@@ -287,7 +322,7 @@ class SQPSolver(SolverAdapter):
                 if kkt > opts.constraint_tolerance and ls_failures < 2:
                     # one endgame retry with near-exact curvature
                     ls_failures += 1
-                    B = _psd_projection(prob.hessian(x, params), relative_floor=0.0)
+                    B = _psd_projection(prob.hessian(x, params), blocks, relative_floor=0.0)
                     continue
                 self.converged = kkt <= opts.constraint_tolerance
                 self.termination = "step-tolerance"

@@ -54,3 +54,26 @@ def planar2r():
 @pytest.fixture(scope="session")
 def arm6():
     return to.RobotModel(to.fixture_path("arm6"), tip="ee", name="arm6")
+
+
+def _horizon_task(T):
+    """planar2r tracking its tip reference stage by stage, with rate cost, Euler steps, limits and a pinned start."""
+    r = to.RobotModel(to.fixture_path("planar2r"), tip="ee", name="arm", time_derivs=(0, 1))
+    b = to.TaskBuilder(T, robots=[r])
+    ref = b.add_parameter("ref", 3, T)
+    tracking = to.constant(0.0)
+    for t in range(T):
+        tip = r.global_link_position("ee", b.get_model_state("arm", t))
+        tracking = tracking + to.sumsqr(tip - ref[:, t])
+    b.add_cost_term("tracking", tracking)
+    b.add_cost_term("rates", 1e-3 * to.sumsqr(b.model_block("arm", 1)))
+    b.add_equality_constraint("init", b.get_model_state("arm", 0), b.add_parameter("qc", 2))
+    b.integrate_model_states("arm", 1, 0.1)
+    b.enforce_model_limits("arm")
+    return r, b
+
+
+@pytest.fixture(scope="session")
+def horizon_task():
+    """``horizon_task(T) -> (robot, builder)``: a fresh planar2r horizon task on each call."""
+    return _horizon_task

@@ -381,25 +381,8 @@ class TestIntegration:
         assert np.abs(a - expected).max() <= 1e-14
 
 
-def _horizon_task(T):
-    """planar2r tracking its tip reference stage by stage, with rate cost, Euler steps, limits and a pinned start."""
-    r = to.RobotModel(to.fixture_path("planar2r"), tip="ee", name="arm", time_derivs=(0, 1))
-    b = to.TaskBuilder(T, robots=[r])
-    ref = b.add_parameter("ref", 3, T)
-    tracking = to.constant(0.0)
-    for t in range(T):
-        tip = r.global_link_position("ee", b.get_model_state("arm", t))
-        tracking = tracking + to.sumsqr(tip - ref[:, t])
-    b.add_cost_term("tracking", tracking)
-    b.add_cost_term("rates", 1e-3 * to.sumsqr(b.model_block("arm", 1)))
-    b.add_equality_constraint("init", b.get_model_state("arm", 0), b.add_parameter("qc", 2))
-    b.integrate_model_states("arm", 1, 0.1)
-    b.enforce_model_limits("arm")
-    return r, b
-
-
 class TestHorizonGrowth:
-    def test_compiled_entries_grow_linearly(self, monkeypatch):
+    def test_compiled_entries_grow_linearly(self, monkeypatch, horizon_task):
         # entries handed to CompiledFunction: nonzeros for a sparse piece,
         # every entry for a dense expression
         handed = {}
@@ -412,12 +395,49 @@ class TestHorizonGrowth:
         monkeypatch.setattr(problem, "CompiledFunction", Recording)
         counts = []
         for T in (4, 8):
-            p = _horizon_task(T)[1].build()
+            p = horizon_task(T)[1].build()
             counts.append(np.array([handed[id(fn)] for fn in (p._hess, p._M, p._A)]))
         # a stage adds a fixed number of nonzeros; dense n x n or rows x n pieces grow about 4x
         assert (counts[1] <= 2.25 * counts[0]).all(), counts
 
-    def test_joint_origins_built_once_per_model(self, monkeypatch):
+    def test_hessian_blocks_follow_the_stages(self, monkeypatch, horizon_task):
+        hess_positions = {}
+
+        class Recording(CompiledFunction):
+            def __init__(self, e, layouts):
+                super().__init__(e, layouts)
+                hess_positions[id(self)] = e[1] if isinstance(e, tuple) else None
+
+        monkeypatch.setattr(problem, "CompiledFunction", Recording)
+        counts, widths = [], []
+        for T in (4, 8):
+            p = horizon_task(T)[1].build()
+            rows = [row for group in p.hessian_blocks for row in group]
+            for group in p.hessian_blocks:
+                assert not group.flags.writeable
+                assert (np.diff(group, axis=1) > 0).all()
+            # a partition of the columns...
+            block_of = np.full(p.n_x, -1)
+            for k, row in enumerate(rows):
+                assert (block_of[row] == -1).all()
+                block_of[row] = k
+            assert (block_of >= 0).all()
+            # ...that no structural nonzero of the Hessian crosses
+            i, j = np.divmod(np.array(hess_positions[id(p._hess)]), p.n_x)
+            assert i.size and (block_of[i] == block_of[j]).all()
+            counts.append(len(rows))
+            widths.append(max(row.size for row in rows))
+        # a stage adds blocks; it does not widen them
+        assert counts[1] > counts[0] and widths[1] == widths[0] > 1, (counts, widths)
+
+    def test_cost_coupling_the_stages_is_one_block(self, horizon_task):
+        r, b = horizon_task(4)
+        q, qd = b.model_block("arm", 0), b.model_block("arm", 1)
+        b.add_cost_term("euler", to.sumsqr(q[:, 1:] - q[:, :-1] - 0.1 * qd))
+        p = b.build()
+        assert [group.shape for group in p.hessian_blocks] == [(1, p.n_x)]
+
+    def test_joint_origins_built_once_per_model(self, monkeypatch, horizon_task):
         calls = []
         rpy_to_matrix = spatial.rpy_to_matrix
 
@@ -426,7 +446,7 @@ class TestHorizonGrowth:
             return rpy_to_matrix(rpy)
 
         monkeypatch.setattr(spatial, "rpy_to_matrix", counting)
-        r, b = _horizon_task(8)
+        r, b = horizon_task(8)
         b.build()
         assert 0 < len(calls) <= len(to.extract_chain(r.urdf, r.base_link, "ee"))
 

@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 import taskopt as to
 from taskopt import expr
 from taskopt.expr import CompiledFunction, Expression, Node
+from taskopt.problem import _hessian_blocks
 from taskopt.solvers import solve_qp
+from taskopt.solvers.sqp import _MIN_EIGENVALUE, _block_positions, _psd_projection
 
 _PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
 
@@ -507,3 +509,81 @@ class TestSolveQP:
         H, q, C, lo, hi = _mixed_qp(np.random.default_rng(122), 2, 3, 1)
         res = solve_qp(H, q, C, lo, hi)
         assert res.converged
+
+
+def _dense_projection(H, relative_floor):
+    """The spectral clip of the whole matrix: symmetrise, one eigh, floor from the top eigenvalue."""
+    w, V = np.linalg.eigh(0.5 * (H + H.T))
+    floor = max(_MIN_EIGENVALUE, relative_floor * float(w.max(initial=0.0)))
+    return (V * np.clip(w, floor, None)) @ V.T, floor
+
+
+@st.composite
+def block_diagonal(draw):
+    """A symmetric matrix whose randomly permuted columns split into blocks of 1-6, and those blocks.
+
+    A block is indefinite, positive semidefinite or all zero.
+    """
+    sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=6))
+    n = sum(sizes)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = rng.permutation(n)
+    H = np.zeros((n, n))
+    blocks, start = [], 0
+    for size in sizes:
+        cols = np.sort(columns[start : start + size])
+        start += size
+        G = rng.normal(scale=10.0, size=(size, size))
+        kind = draw(st.sampled_from(("indefinite", "semidefinite", "zero")))
+        event(f"{kind} {size}x{size}" if size == 1 else kind)
+        H[np.ix_(cols, cols)] = {"indefinite": G + G.T, "semidefinite": G @ G.T, "zero": 0.0 * G}[kind]
+        blocks.append(cols)
+    return H, blocks
+
+
+def _structure(parts, n):
+    """The blocks as Problem derives them from the structure: every entry of each block's square."""
+    return _hessian_blocks([r * n + c for cols in parts for r in cols for c in cols], n)
+
+
+class TestBlockProjection:
+    @_PROPERTY
+    @given(case=block_diagonal(), relative_floor=st.sampled_from((1e-3, 0.0)))
+    def test_matches_the_dense_projection(self, case, relative_floor):
+        H, parts = case
+        n = H.shape[0]
+        blocks = _structure(parts, n)
+        assert sorted(map(tuple, (row for group in blocks for row in group))) == sorted(
+            map(tuple, parts)
+        )
+        B = _psd_projection(H, _block_positions(blocks, n), relative_floor)
+        want, floor = _dense_projection(H, relative_floor)
+        scale = max(np.abs(H).max(), _MIN_EIGENVALUE)
+        assert np.abs(B - want).max() <= 1e-12 * scale
+        inside = np.zeros((n, n), dtype=bool)
+        for cols in parts:
+            inside[np.ix_(cols, cols)] = True
+        assert not B[~inside].any()
+        # V w V' is the formula of the dense projection; it is symmetric to roundoff
+        assert np.abs(B - B.T).max() <= 1e-15 * np.abs(B).max()
+        assert np.linalg.eigvalsh(B).min() >= floor - 1e-12 * scale
+
+    @_PROPERTY
+    @given(case=block_diagonal(), relative_floor=st.sampled_from((1e-3, 0.0)))
+    def test_one_block_is_the_dense_projection(self, case, relative_floor):
+        H = case[0]
+        n = H.shape[0]
+        one = _block_positions((np.arange(n)[None, :],), n)
+        want, _ = _dense_projection(H, relative_floor)
+        assert _psd_projection(H, one, relative_floor).tobytes() == want.tobytes()
+
+    @_PROPERTY
+    @given(case=block_diagonal(), bad=st.sampled_from((np.nan, np.inf, -np.inf)), data=st.data())
+    def test_non_finite_gives_identity(self, case, bad, data):
+        H, parts = case
+        n = H.shape[0]
+        cols = data.draw(st.sampled_from(parts))
+        i, j = data.draw(st.sampled_from(cols)), data.draw(st.sampled_from(cols))
+        H[i, j] = bad
+        blocks = _block_positions(_structure(parts, n), n)
+        assert np.array_equal(_psd_projection(H, blocks), np.eye(n))

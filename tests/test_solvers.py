@@ -431,6 +431,27 @@ class TestSQPSolver:
         y_star = [-(w + eps * (1.0 - d_star)), -(w + eps * (1.0 + d_star)), w + eps]
         assert y == pytest.approx(y_star, rel=1e-12)
 
+    def test_seed_hessian_decomposed_per_block(self, monkeypatch, horizon_task):
+        T = 6
+        robot, b = horizon_task(T)
+        p = b.build()
+        largest = max(group.shape[1] for group in p.hessian_blocks)
+        assert largest < p.n_x
+        sizes = []
+        eigh = np.linalg.eigh
+
+        def recording(a, *args, **kwargs):
+            sizes.append(np.shape(a)[-1])
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording)
+        path = np.stack([np.linspace(0.3, 0.6, T), np.full(T, 0.5)])
+        ref = np.stack([robot.global_link_position("ee", q) for q in path.T], axis=1)
+        s = Solver(p).setup("sqp")
+        s.reset_parameters({"ref": ref, "qc": path[:, 0]})
+        assert s.solve().success
+        assert sizes and max(sizes) <= largest, sizes
+
     def test_nan_at_seed(self):
         b = to.TaskBuilder(1)
         x = b.add_decision_variables("x", 1)
