@@ -24,6 +24,12 @@ a dense numpy array; the entries outside the structure are +0.0.  The
 connected components of the Hessian's structure are kept as
 :attr:`Problem.hessian_blocks`: a stage-wise cost has a block-diagonal
 Hessian, and a solver can then work on each block alone.
+
+A k row whose M row has exactly one structural nonzero, a finite nonzero
+constant, bounds one variable: ``coef * X[col] + c >= 0``.  These rows are
+marked at build as a read-only triple of rows, columns and coefficients
+(``Problem._bounds``), so a solver can take them as bounds on X rather
+than as rows of a dense M.  :meth:`Problem.lin_ineq` still returns all of M.
 """
 
 from __future__ import annotations
@@ -125,6 +131,29 @@ def _transcribe(f: Expression, inequalities, equalities, x_leaves):
     return pieces, labels, quad_cost
 
 
+def _bound_rows(entries, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(rows, cols, coefs)`` of the rows of M's entries that bound one variable.
+
+    A row is a bound when its pattern has exactly one structural nonzero
+    and that entry is a finite, nonzero constant.  The arrays are read-only,
+    with the rows ascending.
+    """
+    (m, _), positions, nodes = entries
+    pos = np.asarray(positions, dtype=np.intp)
+    single = np.bincount(pos // n, minlength=m) == 1
+    rows, cols, coefs = [], [], []
+    for p, node in zip(pos.tolist(), nodes):
+        i, j = divmod(p, n)
+        if single[i] and node.op == expr._CONST and np.isfinite(node.val) and node.val != 0.0:
+            rows.append(i)
+            cols.append(j)
+            coefs.append(node.val)
+    triple = (np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp), np.array(coefs, dtype=float))
+    for a in triple:
+        a.flags.writeable = False
+    return triple
+
+
 def _hessian_blocks(positions, n: int) -> tuple[np.ndarray, ...]:
     """The connected components of the sparsity graph of an n x n matrix, grouped by size.
 
@@ -166,7 +195,9 @@ class Problem:
     nonlinear one (g or h) otherwise; ``labels`` lists each partition's row
     labels in row order.  ``hessian_blocks`` partitions the columns of X
     into the connected components of the cost Hessian's structure (see
-    :func:`_hessian_blocks`): no entry of ∇²f couples two blocks.
+    :func:`_hessian_blocks`): no entry of ∇²f couples two blocks.  The
+    private ``_bounds`` holds the k rows that bound one variable (see
+    :func:`_bound_rows`), fixed at build.
     """
 
     def __init__(
@@ -188,6 +219,7 @@ class Problem:
             objective_expr, inequalities, equalities, decision.leaves()
         )
         self._hessian_blocks = _hessian_blocks(symbolic["hess"][1], self.n_x)
+        self._bounds = _bound_rows(symbolic.get("M", ((0, self.n_x), [], [])), self.n_x)
         p_layout = ("parameter", parameters.layout())
         xp = (("variable", decision.layout()), p_layout)
         fns = {}
@@ -198,6 +230,7 @@ class Problem:
         self._M, self._c, self._A, self._b = (fns.get(k) for k in _PARAMETER_ONLY)
         self._g, self._Jg, self._h, self._Jh = (fns.get(k) for k in ("g", "Jg", "h", "Jh"))
         self.n_k, self.n_a, self.n_g, self.n_h = (len(self.labels[k]) for k in "kagh")
+        self._general_k = np.setdiff1d(np.arange(self.n_k), self._bounds[0])
         self._classification = self._classify(quad_cost)
         # one constraint-name slot per row, in the report's row order [a; h; k; g]
         names = [name for part in "ahkg" for name in self.labels[part]]
@@ -264,6 +297,20 @@ class Problem:
             return np.zeros((0, self.n_x)), np.zeros(0)
         return self._M(P), self._c(P).ravel()
 
+    def _lin_ineq_general(self, P) -> tuple[np.ndarray, np.ndarray]:
+        """(M of the k rows that are not bounds, c of every k row).
+
+        With ``_bounds`` this is all of ``lin_ineq``; M is evaluated only
+        when some k row is not a bound.
+        """
+        P = self._check_p(P)
+        if self._M is None:
+            return np.zeros((0, self.n_x)), np.zeros(0)
+        c = self._c(P).ravel()
+        if self._general_k.size == 0:
+            return np.zeros((0, self.n_x)), c
+        return self._M(P)[self._general_k], c
+
     def lin_eq(self, P=()) -> tuple[np.ndarray, np.ndarray]:
         """(A, b) with a = A X + b = 0."""
         P = self._check_p(P)
@@ -299,14 +346,22 @@ class Problem:
             h=self.nonlin_eq(X, P),
         )
 
-    def feasibility(self, X, P=()) -> FeasibilityReport:
+    def feasibility(self, X, P=(), *, rows=None) -> FeasibilityReport:
         """Residual report; callers judge it with :meth:`FeasibilityReport.ok`.
 
         A row's residual is ``|r|`` for an equality and ``max(-r, 0)`` for an
-        inequality; a non-finite row counts as violated by ``inf``.
+        inequality; a non-finite row counts as violated by ``inf``.  A
+        caller that already holds the rows at (X, P), stacked as
+        ``[a; h; k; g]``, passes them as ``rows`` and they are judged as
+        given, without evaluating them again.
         """
-        vals = self.constraints(X, P)
-        v = np.concatenate([vals.a, vals.h, vals.k, vals.g])
+        if rows is None:
+            vals = self.constraints(X, P)
+            v = np.concatenate([vals.a, vals.h, vals.k, vals.g])
+        else:
+            v = np.asarray(rows, dtype=float).ravel()
+            if v.size != self.n_a + self.n_h + self.n_k + self.n_g:
+                raise ValueError(f"rows has length {v.size}, expected one value per row")
         m_eq = self.n_a + self.n_h
         r = np.concatenate([np.abs(v[:m_eq]), np.maximum(-v[m_eq:], 0.0)])
         r[~np.isfinite(v)] = np.inf

@@ -109,6 +109,11 @@ class SolverAdapter:
     Subclasses implement :meth:`initialize`, :meth:`solve`, and (optionally)
     :meth:`statistics`; the default statistics are empty.  ``accepts`` is
     either ``None`` (any problem) or a set of :class:`ProblemClass` values.
+
+    An adapter that evaluated the point it returns may set ``last_point``
+    to ``(x, f, r_in, r_eq)``: that very array x, the objective there, and
+    the rows ``[k; g]`` and ``[a; h]`` there.  :class:`Solver` then reports
+    on those values instead of evaluating f and the rows again.
     """
 
     accepts: frozenset | None = None
@@ -116,6 +121,7 @@ class SolverAdapter:
     def __init__(self):
         self.converged = False
         self.termination = "not-run"
+        self.last_point: tuple | None = None
 
     def initialize(self, problem: Problem, options: SolverOptions) -> None:
         raise NotImplementedError
@@ -185,22 +191,33 @@ class Solver:
         if self._adapter is None:
             raise RuntimeError("call setup() before solve()")
         t0 = time.perf_counter()
-        x_star = self._adapter.solve(self._seed.copy(), self._params.copy())
+        returned = self._adapter.solve(self._seed.copy(), self._params.copy())
         duration = time.perf_counter() - t0
 
-        x_star = np.asarray(x_star, dtype=float).ravel()
+        x_star = np.asarray(returned, dtype=float).ravel()
         stats = self._adapter.statistics()
         stats.duration = duration
         self._stats = stats
 
         success = bool(getattr(self._adapter, "converged", True))
         termination = str(getattr(self._adapter, "termination", "completed"))
+        last = self._adapter.last_point
+        if last is not None and last[0] is not returned:
+            last = None
         if not np.all(np.isfinite(x_star)):
             success = False
             termination = "nan"
             x_star = np.where(np.isfinite(x_star), x_star, 0.0)
+            last = None  # the reported point is not the one evaluated
 
-        report = self.problem.feasibility(x_star, self._params)
+        if last is not None:
+            _, objective, r_in, r_eq = last
+            report = self.problem.feasibility(
+                x_star, self._params, rows=np.concatenate([r_eq, r_in])
+            )
+        else:
+            objective = self.problem.objective(x_star, self._params)
+            report = self.problem.feasibility(x_star, self._params)
         if not report.ok(self.options.constraint_tolerance):
             success = False
 
@@ -208,7 +225,7 @@ class Solver:
             success=success,
             blocks=self.problem.decision.devectorize(x_star, squeeze=False),
             x=x_star,
-            objective=self.problem.objective(x_star, self._params),
+            objective=objective,
             report=report,
             iterations=stats.iterations,
             duration=duration,

@@ -1,10 +1,10 @@
 """Dual active-set solver for convex quadratic programs.
 
-Solves ``min 0.5 x'Hx + q'x  s.t.  l <= Cx <= u`` by the method of
-Goldfarb and Idnani (Math. Prog. 27, 1983).  The iterate always minimizes
-the cost with the rows of a working set held at their bounds, and every
-one-sided multiplier stays nonnegative, so the iterate is dual feasible
-throughout.  Each working-set change adds the most-violated bound, or
+Solves ``min 0.5 x'Hx + q'x  s.t.  l <= Cx <= u,  lb <= x <= ub`` by the
+method of Goldfarb and Idnani (Math. Prog. 27, 1983).  The iterate always
+minimizes the cost with the rows of a working set held at their bounds,
+and every one-sided multiplier stays nonnegative, so the iterate is dual
+feasible throughout.  Each working-set change adds the most-violated bound, or
 drops the active row whose multiplier reaches zero first on the way to
 it.  The answer is exact once no bound is violated, and a violated row
 whose primal direction vanishes with no row left to drop certifies
@@ -12,15 +12,19 @@ infeasibility.
 
 H is factored once per call by Cholesky, each row is carried whitened as
 ``L^{-1} c``, and the working set is held as a QR factor of those columns.
-Rows with ``l == u`` enter together in one Schur-complement solve.  A dual
-guess ``y0`` seeds the working set with the rows it marks active, on the
-side its sign gives (the warm start of qpOASES, Ferreau et al. 2014); the
-seed is kept only when it is independent and dual feasible.  A positive
-semidefinite H is handled by proximal-point outer steps on ``H + delta I``,
-all sharing one factor.
+The simple bounds are kept apart from the rows, as qpOASES and IPOPT keep
+them: a bound is tested against x itself, and the whitened normal of the
+bound on ``x_j`` is column j of ``L^{-1}``, so it needs no product.  Rows
+and bounds with equal sides enter together in one Schur-complement solve.
+A dual guess ``y0`` for the rows seeds the working set with the rows it
+marks active, on the side its sign gives (the warm start of qpOASES,
+Ferreau et al. 2014); the seed is kept only when it is independent and
+dual feasible.  A positive semidefinite H is handled by proximal-point
+outer steps on ``H + delta I``, all sharing one factor.
 
-Dual convention matches the stationarity condition ``Hx + q + C'y = 0``:
-``y >= 0`` on active upper bounds and ``y <= 0`` on active lower bounds.
+Dual convention matches the stationarity condition ``Hx + q + C'y + z = 0``:
+``y >= 0`` on active upper row bounds and ``y <= 0`` on active lower ones,
+and likewise ``z`` on the simple bounds.
 """
 
 from __future__ import annotations
@@ -45,6 +49,8 @@ _PROXIMAL = 1e-6
 
 @dataclass
 class QPResult:
+    """``y`` are the row multipliers and ``z`` the simple-bound ones (zero without bounds)."""
+
     x: np.ndarray
     y: np.ndarray
     converged: bool
@@ -52,6 +58,7 @@ class QPResult:
     termination: str
     objective_history: np.ndarray = field(default_factory=lambda: np.zeros(0))
     step_history: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    z: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
 def _inverse_factor(H):
@@ -74,27 +81,46 @@ def _solve_r(R, b, trans=0):
 class _WorkingSet:
     """Goldfarb-Idnani iteration on one factored H.
 
-    ``rows``/``sides`` list the active rows; side +1 holds ``c'x >= l`` and
-    side -1 holds ``-c'x >= -u``.  ``lam`` are their multipliers in the
-    form ``Hx + q = sum lam_i side_i c_i``; ``Q R`` factors the whitened
-    active normals ``side_i L^{-1} c_i``.  A row is whitened the first time
-    the iteration touches it, since most rows of a large QP never are.
+    A constraint index below ``m`` is a row of C; with ``bounded``, index
+    ``m + j`` is the simple bound on ``x_j``, whose normal is ``e_j``.
+    ``l``/``u``/``eq`` cover all indices.  ``rows``/``sides`` list the
+    active ones; side +1 holds ``c'x >= l`` and side -1 holds ``-c'x >=
+    -u``.  ``lam`` are their multipliers in the form ``Hx + q = sum lam_i
+    side_i c_i``; ``Q R`` factors the whitened active normals ``side_i
+    L^{-1} c_i``.  A row is whitened the first time the iteration touches
+    it, since most rows of a large QP never are.
     """
 
-    def __init__(self, Linv, C, l, u, eq):
+    def __init__(self, Linv, C, l, u, eq, bounded):
         self.Linv, self.C, self.l, self.u, self.eq = Linv, C, l, u, eq
-        self.Nt = np.empty((Linv.shape[0], C.shape[0]), order="F")
-        self.whitened = np.zeros(C.shape[0], dtype=bool)
+        self.m, self.bounded = C.shape[0], bounded
+        self.Nt = np.empty((Linv.shape[0], l.size), order="F")
+        self.whitened = np.zeros(l.size, dtype=bool)
         # x = 0, then the iterate after each entry and each working-set change
         self.iterates = [np.zeros(Linv.shape[0])]
 
     def normals(self, rows):
-        """Whitened rows ``L^{-1} c_i`` as columns."""
+        """Whitened normals as columns: ``L^{-1} c_i`` for a row, column j of ``L^{-1}`` for a bound."""
         new = rows[~self.whitened[rows]]
         if new.size:
-            self.Nt[:, new] = self.Linv @ self.C[new].T
+            general = new[new < self.m]
+            if general.size:
+                self.Nt[:, general] = self.Linv @ self.C[general].T
+            if self.bounded:
+                bounds = new[new >= self.m]
+                self.Nt[:, bounds] = self.Linv[:, bounds - self.m]
             self.whitened[new] = True
         return self.Nt[:, rows]
+
+    def values(self, rows):
+        """``c_i'x`` of each index: a row's product, or the bounded entry of x."""
+        if not self.bounded:
+            return self.C[rows] @ self.x
+        out = np.empty(rows.size)
+        general = rows < self.m
+        out[general] = self.C[rows[general]] @ self.x
+        out[~general] = self.x[rows[~general] - self.m]
+        return out
 
     def bound(self, rows, sides):
         return np.where(sides > 0, self.l[rows], -self.u[rows])
@@ -118,7 +144,7 @@ class _WorkingSet:
         rank = int(np.count_nonzero(d > _DEPENDENT * d[0]))
         self.rows, self.sides = rows[piv[:rank]], sides[piv[:rank]]
         self.Q, self.R = Q[:, :rank], np.ascontiguousarray(R[:rank, :rank])
-        gap = self.bound(self.rows, self.sides) - self.sides * (self.C[self.rows] @ self.x)
+        gap = self.bound(self.rows, self.sides) - self.sides * self.values(self.rows)
         self.lam = _solve_r(self.R, _solve_r(self.R, gap, trans=1))
         self.x = self.x + Linv.T @ (self.Q @ (self.R @ self.lam))
         return rank == rows.size
@@ -128,11 +154,11 @@ class _WorkingSet:
 
         Returns False when dependent equality rows contradict each other.
         """
-        m = self.C.shape[0]
+        m = self.m
         eq_rows = np.flatnonzero(self.eq)
         if y0 is not None and y0.size == m and np.isfinite(y0).all():
             sides = np.where(y0 > 0.0, -1.0, 1.0)
-            seed = ~self.eq & (y0 != 0.0) & np.isfinite(self.bound(np.arange(m), sides))
+            seed = ~self.eq[:m] & (y0 != 0.0) & np.isfinite(self.bound(np.arange(m), sides))
             if seed.any():
                 rows = np.concatenate([eq_rows, np.flatnonzero(seed)])
                 all_sides = np.concatenate([np.ones(eq_rows.size), sides[seed]])
@@ -142,7 +168,7 @@ class _WorkingSet:
             return True
         # a dependent equality row met here stays met: it is a combination of
         # rows the working set holds for good
-        Cx = self.C[eq_rows] @ self.x
+        Cx = self.values(eq_rows)
         tol = options.qp_absolute_tolerance + options.qp_relative_tolerance * np.abs(Cx).max()
         return np.abs(Cx - self.l[eq_rows]).max() <= tol
 
@@ -162,14 +188,14 @@ class _WorkingSet:
 
         ``options.qp_max_iterations`` caps the iterations after the first.
         """
-        C, l, u, Linv = self.C, self.l, self.u, self.Linv
-        if C.shape[0] == 0:
+        C, l, u, Linv, m = self.C, self.l, self.u, self.Linv, self.m
+        if l.size == 0:
             return "kkt-tolerance"
         ineq = ~self.eq
         has_lo = ineq & np.isfinite(l)
         has_hi = ineq & np.isfinite(u)
         while True:
-            Cx = C @ self.x
+            Cx = np.concatenate([C @ self.x, self.x]) if self.bounded else C @ self.x
             tol = options.qp_absolute_tolerance + options.qp_relative_tolerance * np.abs(Cx).max()
             short = np.where(has_lo, l - Cx, -np.inf)
             over = np.where(has_hi, Cx - u, -np.inf)
@@ -193,7 +219,7 @@ class _WorkingSet:
                 w += w2
                 r = _solve_r(self.R, w)
                 zz = float(z @ z)
-                gap = max(b_p - s * float(C[p] @ self.x), 0.0)
+                gap = max(b_p - s * float(C[p] @ self.x if p < m else self.x[p - m]), 0.0)
                 t_full = gap / zz if zz > (_DEPENDENT**2) * float(n_p @ n_p) else np.inf
                 blocking = ineq[self.rows] & (r > 0.0)
                 t_part, j = np.inf, -1
@@ -228,10 +254,12 @@ class _WorkingSet:
                 self.refactor()
                 self.iterates.append(self.x)
 
-    def multipliers(self, m):
-        y = np.zeros(m)
+    def multipliers(self):
+        """``(y, z)``: the multipliers of the rows and of the bounds (zero without bounds)."""
+        y = np.zeros(self.l.size)
         y[self.rows] = -self.sides * self.lam
-        return y
+        z = y[self.m :] if self.bounded else np.zeros(self.Linv.shape[0])
+        return y[: self.m], z
 
 
 def _failed(n, m, termination) -> QPResult:
@@ -243,6 +271,7 @@ def _failed(n, m, termination) -> QPResult:
         termination=termination,
         objective_history=np.full(1, np.nan),
         step_history=np.zeros(1),
+        z=np.zeros(n),
     )
 
 
@@ -254,8 +283,16 @@ def _qp_rows(C_in, r_in, C_eq, r_eq):
     return C, l, u
 
 
-def solve_qp(H, q, C, l, u, y0=None, options: SolverOptions | None = None) -> QPResult:
-    """Solve one convex QP exactly; ``y0`` is an optional dual guess for a warm start."""
+def solve_qp(
+    H, q, C, l, u, y0=None, options: SolverOptions | None = None, *, lb=None, ub=None
+) -> QPResult:
+    """Solve one convex QP exactly.
+
+    ``y0`` is an optional dual guess for the rows of C, for a warm start.
+    ``lb <= x <= ub`` are optional simple bounds; a missing side is
+    unbounded, and an infinite entry leaves its side of that variable
+    free.  Their multipliers are :attr:`QPResult.z`.
+    """
     opts = options or SolverOptions()
     H = np.asarray(H, dtype=float)
     n = H.shape[0]
@@ -265,6 +302,10 @@ def solve_qp(H, q, C, l, u, y0=None, options: SolverOptions | None = None) -> QP
     u = np.asarray(u, dtype=float).ravel()
     m = C.shape[0]
     y_guess = None if y0 is None else np.asarray(y0, dtype=float).ravel()
+    bounded = lb is not None or ub is not None
+    if bounded:
+        l = np.concatenate([l, np.broadcast_to(-np.inf if lb is None else lb, n)])
+        u = np.concatenate([u, np.broadcast_to(np.inf if ub is None else ub, n)])
 
     if not (np.isfinite(H).all() and np.isfinite(q).all() and np.isfinite(C).all()) or (
         np.isnan(l).any() or np.isnan(u).any()
@@ -280,7 +321,7 @@ def solve_qp(H, q, C, l, u, y0=None, options: SolverOptions | None = None) -> QP
         Linv = _inverse_factor(H + delta * np.eye(n))
         if Linv is None:
             return _failed(n, m, "not-convex")
-    ws = _WorkingSet(Linv, C, l, u, eq)
+    ws = _WorkingSet(Linv, C, l, u, eq, bounded)
 
     x = np.zeros(n)
     while True:
@@ -292,10 +333,10 @@ def solve_qp(H, q, C, l, u, y0=None, options: SolverOptions | None = None) -> QP
             termination = "infeasible"
             break
         termination = ws.run(opts)
-        x, y = ws.x, ws.multipliers(m)
+        x, (y, z) = ws.x, ws.multipliers()
         if delta == 0.0 or termination != "kkt-tolerance":
             break
-        Hx, Cty = H @ x, C.T @ y
+        Hx, Cty = H @ x, C.T @ y + z
         eps_dual = opts.qp_absolute_tolerance + opts.qp_relative_tolerance * max(
             np.abs(Hx).max(initial=0.0), np.abs(Cty).max(initial=0.0), np.abs(q).max(initial=0.0)
         )
@@ -306,7 +347,7 @@ def solve_qp(H, q, C, l, u, y0=None, options: SolverOptions | None = None) -> QP
             break
         y_guess = y
 
-    x, y = ws.x, ws.multipliers(m)
+    x, (y, z) = ws.x, ws.multipliers()
     X = np.asarray(ws.iterates)
     return QPResult(
         x=x,
@@ -316,6 +357,7 @@ def solve_qp(H, q, C, l, u, y0=None, options: SolverOptions | None = None) -> QP
         termination=termination,
         objective_history=((0.5 * X @ H + q) * X).sum(axis=1),
         step_history=np.concatenate([[0.0], np.abs(np.diff(X, axis=0)).max(axis=1)]),
+        z=z,
     )
 
 

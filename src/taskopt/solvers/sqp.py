@@ -13,9 +13,21 @@ with the horizon rather than with the cube of n.  Only a subproblem the QP
 certifies infeasible is solved again, with elastic slacks weighted by 1e3
 times the current penalty.
 
+The k rows that bound one variable (``Problem._bounds``) go to the QP as
+bounds on the step, not as rows: a point's values of them are one gather,
+``coef * x[col] + c``, and the QP gets ``lb``/``ub`` on d from them, the
+tightest where a variable has several rows on one side.  A bound
+multiplier goes back to the row that set it, divided by its coefficient,
+and enters the merit penalty, the KKT test and the BFGS Lagrangian
+gradient through one scatter-add over the bound columns.  The elastic
+retry alone states every k row as a row, with its own slack.
+
 Each point is evaluated once: the line search computes f and the rows at
 every trial point, and the loop computes the derivatives at the accepted
-one, then carries all of them into the next iteration.
+one, then carries all of them into the next iteration.  The BFGS update
+of an accepted step is made only once the KKT test at its end fails, so a
+step that converges pays for none; the values at the last point are
+handed back as ``last_point`` for the solution's report.
 
 The same loop serves two tags.  ``sqp`` accepts every problem;
 ``bfgs`` accepts only unconstrained ones, where the subproblem has no rows,
@@ -85,35 +97,44 @@ def _psd_projection(H: np.ndarray, blocks, relative_floor: float = 1e-3) -> np.n
     return B
 
 
+def _damped_pair(B: np.ndarray, s: np.ndarray, y: np.ndarray):
+    """``(Bs, sBs, y, sy)`` of Powell's damped BFGS pair, or None when even
+    the damped curvature is unusable."""
+    Bs = B @ s
+    sBs = float(s @ Bs)
+    sy = float(s @ y)
+    if not np.isfinite(sBs) or not np.isfinite(sy) or sBs <= 1e-16:
+        return None
+    if sy < 0.2 * sBs:
+        theta = 0.8 * sBs / (sBs - sy)
+        y = theta * y + (1.0 - theta) * Bs
+        sy = float(s @ y)
+    if sy <= 1e-14:
+        return None
+    return Bs, sBs, y, sy
+
+
 def damped_bfgs_update(B: np.ndarray, s: np.ndarray, y: np.ndarray):
     """Powell-damped BFGS update; returns (B_new, ok).
 
     ``ok`` is False when even the damped curvature is unusable, in which
     case ``B`` is returned unchanged.
     """
-    Bs = B @ s
-    sBs = float(s @ Bs)
-    sy = float(s @ y)
-    if not np.isfinite(sBs) or not np.isfinite(sy) or sBs <= 1e-16:
+    pair = _damped_pair(B, s, y)
+    if pair is None:
         return B, False
-    if sy < 0.2 * sBs:
-        theta = 0.8 * sBs / (sBs - sy)
-        y = theta * y + (1.0 - theta) * Bs
-        sy = float(s @ y)
-    if sy <= 1e-14:
-        return B, False
+    Bs, sBs, y, sy = pair
     B_new = B - np.outer(Bs, Bs) / sBs + np.outer(y, y) / sy
     return 0.5 * (B_new + B_new.T), True
 
 
-def _kkt_residual(grad, C_in, r_in, C_eq, r_eq, lam, nu) -> float:
+def _kkt_residual(gL, r_in, r_eq, lam) -> float:
     """Max of stationarity, feasibility, and complementarity residuals.
 
-    ``r_in >= 0`` and ``r_eq = 0`` are the constraint rows with Jacobians
-    ``C_in`` and ``C_eq``; ``lam >= 0`` and ``nu`` are their multipliers.
+    ``gL`` is the Lagrangian gradient; ``r_in >= 0`` and ``r_eq = 0`` are
+    the constraint rows, and ``lam >= 0`` the multipliers of ``r_in``.
     """
-    stat = grad - C_in.T @ lam - C_eq.T @ nu
-    if not np.all(np.isfinite(stat)):
+    if not np.isfinite(gL).all():
         return np.inf
     feas = 0.0
     if r_eq.size:
@@ -121,7 +142,103 @@ def _kkt_residual(grad, C_in, r_in, C_eq, r_eq, lam, nu) -> float:
     if r_in.size:
         feas = max(feas, float(np.maximum(-r_in, 0.0).max()))
     comp = float(np.abs(lam * r_in).max(initial=0.0))
-    return max(float(np.abs(stat).max(initial=0.0)), feas, comp)
+    return max(float(np.abs(gL).max(initial=0.0)), feas, comp)
+
+
+class _BoundRows:
+    """Where the k rows that bound one variable sit among a session's rows.
+
+    ``rows``/``cols``/``coefs`` are :attr:`Problem._bounds`: k row
+    ``rows[i]`` is ``coefs[i] * x[cols[i]] + c``.  The inequality rows are
+    stacked ``[k; g]`` and the multipliers ``[k; g; a; h]``; ``general``
+    indexes the inequality rows that are not bounds, and ``warm`` the
+    multipliers of the QP's rows (``general``, then the equalities).  Every
+    array is fixed for the session, so a point costs gathers and no 2n x n
+    product.
+    """
+
+    def __init__(self, bounds, n_k: int, n_g: int, m_eq: int):
+        self.rows, self.cols, self.coefs = bounds
+        m_in = n_k + n_g
+        is_bound = np.zeros(m_in, dtype=bool)
+        is_bound[self.rows] = True
+        self.general_k = np.flatnonzero(~is_bound[:n_k])
+        self.only = self.general_k.size == 0  # then rows is 0..n_k-1
+        self.general = np.flatnonzero(~is_bound)
+        self.warm = np.concatenate([self.general, np.arange(m_in, m_in + m_eq)])
+        lower = self.coefs > 0.0
+        # per side: positions in the triple, their columns, and whether no
+        # column has two rows on that side
+        self.sides = []
+        for mask in (lower, ~lower):
+            at = np.flatnonzero(mask)
+            cols = self.cols[at]
+            self.sides.append((at, cols, np.unique(cols).size == cols.size))
+
+    def k(self, x, M, c):
+        """The k rows at x; ``M`` holds only the general k rows of M."""
+        if self.only:
+            return self.coefs * x[self.cols] + c
+        k = np.empty(c.size)
+        k[self.rows] = self.coefs * x[self.cols] + c[self.rows]
+        k[self.general_k] = M @ x + c[self.general_k]
+        return k
+
+    def qp_bounds(self, t, n):
+        """``(lb, ub)`` on d from ``t``, where each bound row holds with equality.
+
+        A variable with several rows on one side takes the tightest.
+        """
+        if self.rows.size == 0:
+            return None, None
+        limits = []
+        for (at, cols, once), fill, tighter in zip(
+            self.sides, (-np.inf, np.inf), (np.maximum, np.minimum)
+        ):
+            limit = np.full(n, fill)
+            if once:
+                limit[cols] = t[at]
+            else:
+                tighter.at(limit, cols, t[at])
+            limits.append(limit)
+        return tuple(limits)
+
+    def row_multipliers(self, z, t, lb, ub):
+        """Row-form multipliers of the bound rows from the QP's bound multipliers ``z``.
+
+        Each nonzero ``z_j`` goes to the row that sets the active side of
+        ``x_j`` (the first, on a tie), divided by that row's coefficient.
+        """
+        y = np.zeros(self.rows.size)
+        if not z.any():
+            return y
+        for (at, cols, once), limit, sign in zip(self.sides, (lb, ub), (-1.0, 1.0)):
+            zc = z[cols]
+            hit = sign * zc > 0.0  # z < 0 on an active lower side, z > 0 on an upper one
+            if not once:
+                hit &= t[at] == limit[cols]
+                first = np.unique(cols[hit], return_index=True)[1]
+                hit = np.flatnonzero(hit)[first]
+            y[at[hit]] = zc[hit] / self.coefs[at[hit]]
+        return y
+
+    def lagrangian_gradient(self, grad, C_in, C_eq, lam, nu):
+        """``grad - C'lam - C_eq'nu``; the bound rows' share is one scatter-add over their columns.
+
+        ``C_in`` holds the general inequality rows and ``lam`` every inequality multiplier.
+        """
+        gL = grad - C_in.T @ lam[self.general] - C_eq.T @ nu
+        lam_b = lam[self.rows]
+        if lam_b.any():
+            gL -= np.bincount(self.cols, self.coefs * lam_b, minlength=gL.size)
+        return gL
+
+    def dense(self, C_in, n):
+        """The whole inequality Jacobian ``[M; Jg]``, bound rows included, from the general rows ``C_in``."""
+        C = np.zeros((self.general.size + self.rows.size, n))
+        C[self.rows, self.cols] = self.coefs
+        C[self.general] = C_in
+        return C
 
 
 class SQPSolver(SolverAdapter):
@@ -133,19 +250,24 @@ class SQPSolver(SolverAdapter):
         self.problem = problem
         self.options = options
         self._stats = Stats()
-        self._blocks = None  # _block_positions of the cost Hessian, on the first solve
+        # _block_positions of the cost Hessian and the _BoundRows, on the first solve
+        self._blocks = None
+        self._bound_rows = None
 
     # evaluation ------------------------------------------------------------
     def _values(self, x, params, M, c, A, b):
-        """The objective and the stacked inequality and equality rows at x."""
+        """The objective and the stacked inequality and equality rows at x.
+
+        ``M`` holds only the general k rows; the bound rows are gathered.
+        """
         prob = self.problem
         f = prob.objective(x, params)
-        r_in = np.concatenate([M @ x + c, prob.nonlin_ineq(x, params)])
+        r_in = np.concatenate([self._bound_rows.k(x, M, c), prob.nonlin_ineq(x, params)])
         r_eq = np.concatenate([A @ x + b, prob.nonlin_eq(x, params)])
         return f, r_in, r_eq
 
     def _derivatives(self, x, params, M, A):
-        """The cost gradient and the stacked row Jacobians at x."""
+        """The cost gradient and the Jacobians of the general inequality rows and of the equality rows at x."""
         prob = self.problem
         grad = prob.gradient(x, params)
         C_in = np.vstack([M, prob.nonlin_ineq_jacobian(x, params)])
@@ -154,21 +276,39 @@ class SQPSolver(SolverAdapter):
 
     # subproblem ----------------------------------------------------------
     def _subproblem(self, B, grad, C_in, r_in, C_eq, r_eq, y0, mu):
-        """QP step: min 0.5 d'Bd + grad'd  s.t. C_in d >= -r_in, C_eq d = -r_eq.
+        """QP step: min 0.5 d'Bd + grad'd  s.t. r_in + J_in d >= 0, C_eq d = -r_eq.
 
+        The bound rows of ``r_in`` go to the QP as bounds on d, and ``C_in``
+        holds the Jacobian of the others (``_BoundRows.general``).  ``y0``
+        and the returned multipliers cover the rows ``[k; g; a; h]``.
         Falls back to an elastic (slack-relaxed) formulation only when the
         plain subproblem is certified infeasible.
         """
         opts = self.options
+        rows = self._bound_rows
         n = B.shape[0]
-        m_in, m_eq = C_in.shape[0], C_eq.shape[0]
-        res = solve_qp(B, grad, *_qp_rows(C_in, r_in, C_eq, r_eq), y0=y0, options=opts)
+        m_in, m_eq = r_in.size, C_eq.shape[0]
+        t = -r_in[rows.rows] / rows.coefs
+        lb, ub = rows.qp_bounds(t, n)
+        res = solve_qp(
+            B,
+            grad,
+            *_qp_rows(C_in, r_in[rows.general], C_eq, r_eq),
+            y0=y0[rows.warm],
+            options=opts,
+            lb=lb,
+            ub=ub,
+        )
         if res.termination != "infeasible":
-            return res.x, res.y, False
+            y = np.zeros(m_in + m_eq)
+            y[rows.warm] = res.y
+            y[rows.rows] = rows.row_multipliers(res.z, t, lb, ub)
+            return res.x, y, False
 
-        # Elastic retry: one slack per inequality row, a split pair per
-        # equality row, all nonnegative and priced into the objective; the
-        # slacks' small curvature keeps the QP strictly convex.
+        # Elastic retry: one slack per inequality row, bound rows included,
+        # a split pair per equality row, all nonnegative and priced into the
+        # objective; the slacks' small curvature keeps the QP strictly convex.
+        C_in = rows.dense(C_in, n)
         w = _ELASTIC_WEIGHT * max(mu, 1.0)
         n_slack = m_in + 2 * m_eq
         H_aug = _MIN_EIGENVALUE * np.eye(n + n_slack)
@@ -188,14 +328,15 @@ class SQPSolver(SolverAdapter):
     def solve(self, x0, params):
         prob, opts = self.problem, self.options
         n = prob.n_x
+        m_in, m_eq = prob.n_k + prob.n_g, prob.n_a + prob.n_h
         if self._blocks is None:
             self._blocks = _block_positions(prob.hessian_blocks, n)
-        blocks = self._blocks
+            self._bound_rows = _BoundRows(prob._bounds, prob.n_k, prob.n_g, m_eq)
+        blocks, rows = self._blocks, self._bound_rows
         x = np.asarray(x0, dtype=float).copy()
 
-        M, c = prob.lin_ineq(params)
+        M, c = prob._lin_ineq_general(params)
         A, b = prob.lin_eq(params)
-        m_in, m_eq = prob.n_k + prob.n_g, prob.n_a + prob.n_h
 
         def violation(r_in, r_eq):
             return float(np.abs(r_eq).sum()) + float(np.maximum(-r_in, 0.0).sum())
@@ -213,7 +354,7 @@ class SQPSolver(SolverAdapter):
 
         # these six always hold the values at x: the line search supplies
         # f and the rows at the accepted point, and the derivatives there
-        # are evaluated once, for the BFGS update
+        # are evaluated once, for the KKT test and the BFGS update
         f, r_in, r_eq = self._values(x, params, M, c, A, b)
         grad, C_in, C_eq = self._derivatives(x, params, M, A)
         obj_hist = [f]
@@ -224,24 +365,52 @@ class SQPSolver(SolverAdapter):
         y_prev = np.zeros(m_in + m_eq)
         ls_failures = 0
         bad_updates = 0
+        # the BFGS update of the last accepted step, (s, derivatives at its
+        # start), applied only once the KKT test at its end fails
+        pending = None
+
+        def count_update(ok):
+            """Track unusable updates; True when two in a row call for a reset of B."""
+            nonlocal bad_updates
+            bad_updates = 0 if ok else bad_updates + 1
+            if bad_updates >= 2:
+                bad_updates = 0
+                return True
+            return False
 
         it = 0
         for it in range(1, opts.max_iterations + 1):
-            pieces = [f, grad, C_in, r_in, C_eq, r_eq]
-            if not all(np.all(np.isfinite(np.atleast_1d(p))) for p in pieces):
+            finite = (
+                np.isfinite(f)
+                and np.isfinite(grad).all()
+                and np.isfinite(C_in).all()
+                and np.isfinite(r_in).all()
+                and np.isfinite(C_eq).all()
+                and np.isfinite(r_eq).all()
+            )
+            if not finite:
                 self.termination = "nan"
                 it -= 1
                 break
 
-            kkt = _kkt_residual(grad, C_in, r_in, C_eq, r_eq, lam, nu)
+            gL = rows.lagrangian_gradient(grad, C_in, C_eq, lam, nu)
+            kkt = _kkt_residual(gL, r_in, r_eq, lam)
             if kkt <= opts.constraint_tolerance:
                 self.converged = True
                 self.termination = "kkt-tolerance"
                 it -= 1
                 break
 
+            if pending is not None:
+                # BFGS on the Lagrangian gradient with the fresh multipliers
+                s, old = pending
+                pending = None
+                B, ok = damped_bfgs_update(B, s, gL - rows.lagrangian_gradient(*old, lam, nu))
+                if count_update(ok):
+                    B = np.eye(n)
+
             d, y, elastic = self._subproblem(B, grad, C_in, r_in, C_eq, r_eq, y_prev, mu)
-            if not np.all(np.isfinite(d)):
+            if not np.isfinite(d).all():
                 self.termination = "nan"
                 it -= 1
                 break
@@ -295,20 +464,8 @@ class SQPSolver(SolverAdapter):
 
             x_new = x + alpha * d
             s = x_new - x
-
-            # BFGS on the Lagrangian gradient with the fresh multipliers
-            gL_old = grad - C_in.T @ lam - C_eq.T @ nu
+            pending = (s, (grad, C_in, C_eq))
             grad, C_in, C_eq = self._derivatives(x_new, params, M, A)
-            yv = grad - C_in.T @ lam - C_eq.T @ nu - gL_old
-
-            B, ok = damped_bfgs_update(B, s, yv)
-            if ok:
-                bad_updates = 0
-            else:
-                bad_updates += 1
-                if bad_updates >= 2:
-                    B = np.eye(n)
-                    bad_updates = 0
 
             step = float(np.abs(s).max(initial=0.0))
             x = x_new
@@ -318,9 +475,18 @@ class SQPSolver(SolverAdapter):
 
             if step <= opts.step_tolerance:
                 # the iteration is stationary; certify the final point
-                kkt = _kkt_residual(grad, C_in, r_in, C_eq, r_eq, lam, nu)
+                gL = rows.lagrangian_gradient(grad, C_in, C_eq, lam, nu)
+                kkt = _kkt_residual(gL, r_in, r_eq, lam)
                 if kkt > opts.constraint_tolerance and ls_failures < 2:
-                    # one endgame retry with near-exact curvature
+                    # one endgame retry with near-exact curvature, in place
+                    # of the pending update; its curvature test still counts
+                    # toward the reset, as when the update was made first
+                    old = pending[1]
+                    pending = None
+                    count_update(
+                        _damped_pair(B, s, gL - rows.lagrangian_gradient(*old, lam, nu))
+                        is not None
+                    )
                     ls_failures += 1
                     B = _psd_projection(prob.hessian(x, params), blocks, relative_floor=0.0)
                     continue
@@ -333,6 +499,7 @@ class SQPSolver(SolverAdapter):
             objective_history=np.asarray(obj_hist),
             step_norm_history=np.asarray(step_hist),
         )
+        self.last_point = (x, f, r_in, r_eq)
         return x
 
     def statistics(self) -> Stats:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,42 @@ def fd_close(approx, exact, rel=1e-6, abs_=1e-8):
     approx = np.asarray(approx, dtype=float)
     exact = np.asarray(exact, dtype=float)
     return bool(np.all(np.abs(approx - exact) <= rel * np.abs(exact) + abs_))
+
+
+def brute_force_qp(H, q, C, b):
+    """Minimize 0.5 x'Hx + q'x subject to C x >= b by enumerating active sets.
+
+    Strictly convex H assumed.  Returns (x, lam, objective); lam >= 0 holds
+    the inequality multipliers with stationarity H x + q - C' lam = 0.
+    """
+    n, m = H.shape[0], C.shape[0]
+    best = None
+    for r in range(m + 1):
+        for subset in itertools.combinations(range(m), r):
+            idx = list(subset)
+            k = len(idx)
+            kkt = np.zeros((n + k, n + k))
+            kkt[:n, :n] = H
+            if k:
+                kkt[:n, n:] = -C[idx].T
+                kkt[n:, :n] = C[idx]
+            rhs = np.concatenate([-q, b[idx]])
+            try:
+                sol = np.linalg.solve(kkt, rhs)
+            except np.linalg.LinAlgError:
+                continue
+            x = sol[:n]
+            lam_act = sol[n:]
+            if np.any(lam_act < -1e-9):
+                continue
+            if np.any(C @ x - b < -1e-9):
+                continue
+            obj = 0.5 * x @ H @ x + q @ x
+            if best is None or obj < best[2]:
+                lam = np.zeros(m)
+                lam[idx] = np.maximum(lam_act, 0.0)
+                best = (x, lam, obj)
+    return best
 
 
 def planar_fk(q):

@@ -6,7 +6,6 @@ kinematics, central finite differences, and a brute-force active-set QP
 solver that enumerates active constraint subsets.
 """
 
-import itertools
 import json
 import time
 
@@ -17,7 +16,7 @@ import taskopt as to
 from taskopt.cli import _DEFAULTS, main, run_dims, run_plan, run_track
 from taskopt.solvers import Solver, SolverOptions
 
-from conftest import central_difference, planar_fk, planar_jacobian
+from conftest import brute_force_qp, central_difference, planar_fk, planar_jacobian
 
 TIGHT = SolverOptions(
     max_iterations=150,
@@ -33,42 +32,6 @@ def _report(criterion: int, text: str):
 
 
 # -- oracles -------------------------------------------------------------------
-
-
-def brute_force_qp(H, q, C, b):
-    """Minimize 0.5 x'Hx + q'x subject to C x >= b by enumerating active sets.
-
-    Strictly convex H assumed.  Returns (x, lam, objective); lam >= 0 holds
-    the inequality multipliers with stationarity H x + q - C' lam = 0.
-    """
-    n, m = H.shape[0], C.shape[0]
-    best = None
-    for r in range(m + 1):
-        for subset in itertools.combinations(range(m), r):
-            idx = list(subset)
-            k = len(idx)
-            kkt = np.zeros((n + k, n + k))
-            kkt[:n, :n] = H
-            if k:
-                kkt[:n, n:] = -C[idx].T
-                kkt[n:, :n] = C[idx]
-            rhs = np.concatenate([-q, b[idx]])
-            try:
-                sol = np.linalg.solve(kkt, rhs)
-            except np.linalg.LinAlgError:
-                continue
-            x = sol[:n]
-            lam_act = sol[n:]
-            if np.any(lam_act < -1e-9):
-                continue
-            if np.any(C @ x - b < -1e-9):
-                continue
-            obj = 0.5 * x @ H @ x + q @ x
-            if best is None or obj < best[2]:
-                lam = np.zeros(m)
-                lam[idx] = np.maximum(lam_act, 0.0)
-                best = (x, lam, obj)
-    return best
 
 
 def _ik_session(robot, tip="ee", regularizer=1e-9):

@@ -99,4 +99,5 @@ def test_qp_result_fields_are_pinned():
         "termination",
         "objective_history",
         "step_history",
+        "z",
     ]

@@ -205,6 +205,17 @@ class TestFeasibility:
         assert rep.worst_constraint == "eq"  # equalities are read first
         assert rep.residuals == {"eq": np.inf, "in": np.inf}
 
+    def test_given_rows_are_judged_as_evaluated(self):
+        rng = np.random.default_rng(7)
+        robot, p = _plan_problem()
+        P = _params(p, rng)
+        X = rng.normal(scale=0.5, size=p.n_x)
+        vals = p.constraints(X, P)
+        rows = np.concatenate([vals.a, vals.h, vals.k, vals.g])
+        assert p.feasibility(X, P, rows=rows) == p.feasibility(X, P)
+        with pytest.raises(ValueError, match="rows has length"):
+            p.feasibility(X, P, rows=rows[1:])
+
     def test_report_consistent_with_constraints(self):
         rng = np.random.default_rng(6)
         robot, p = _plan_problem()

@@ -16,6 +16,8 @@ from taskopt.problem import _hessian_blocks
 from taskopt.solvers import solve_qp
 from taskopt.solvers.sqp import _MIN_EIGENVALUE, _block_positions, _psd_projection
 
+from conftest import brute_force_qp
+
 _PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
 
 _LAYOUTS = (("variable", {"x": (0, 3, 1)}), ("parameter", {"p": (0, 2, 1)}))
@@ -509,6 +511,100 @@ class TestSolveQP:
         H, q, C, lo, hi = _mixed_qp(np.random.default_rng(122), 2, 3, 1)
         res = solve_qp(H, q, C, lo, hi)
         assert res.converged
+
+
+_BOUND_KINDS = ("free", "lower", "upper", "both", "fixed")
+
+
+def _bounded_qp(rng, n, m_in, m_eq, kinds):
+    """A strictly convex QP with rows and simple bounds of the given kinds per variable.
+
+    Every row and bound holds at one drawn point; ``fixed`` makes ``lb ==
+    ub`` there, and ``free`` leaves both sides infinite.
+    """
+    x_f = 0.5 * rng.normal(size=n)
+    G = rng.normal(size=(n, n))
+    H = G @ G.T + 0.1 * np.eye(n)
+    q = 3.0 * rng.normal(size=n)
+    C = rng.normal(size=(m_in + m_eq, n))
+    Cx = C @ x_f
+    width = np.concatenate([rng.uniform(0.0, 1.0, m_in), np.zeros(m_eq)])
+    lo, hi = Cx - width, Cx + width
+    hi[:m_in][rng.uniform(size=m_in) < 0.3] = np.inf
+    kinds = np.array(kinds)
+    lb = np.where(np.isin(kinds, ("lower", "both")), x_f - rng.uniform(0.0, 1.0, n), -np.inf)
+    ub = np.where(np.isin(kinds, ("upper", "both")), x_f + rng.uniform(0.0, 1.0, n), np.inf)
+    lb[kinds == "fixed"] = ub[kinds == "fixed"] = x_f[kinds == "fixed"]
+    return H, q, C, lo, hi, lb, ub
+
+
+@st.composite
+def bounded_qps(draw, max_n=6):
+    """``_bounded_qp`` with at most n equalities among its rows and fixed bounds."""
+    n = draw(st.integers(2, max_n))
+    kinds = draw(st.lists(st.sampled_from(_BOUND_KINDS), min_size=n, max_size=n))
+    m_eq = draw(st.integers(0, n - kinds.count("fixed")))
+    m_in = draw(st.integers(0, n + 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return _bounded_qp(rng, n, m_in, m_eq, kinds)
+
+
+def _as_rows(C, lo, hi, lb, ub):
+    """The simple bounds as identity rows after the rows of C."""
+    n = C.shape[1]
+    return np.vstack([C, np.eye(n)]), np.concatenate([lo, lb]), np.concatenate([hi, ub])
+
+
+class TestSimpleBounds:
+    @_PROPERTY
+    @given(qp=bounded_qps())
+    def test_bounds_match_identity_rows(self, qp):
+        H, q, C, lo, hi, lb, ub = qp
+        m = C.shape[0]
+        res = solve_qp(H, q, C, lo, hi, lb=lb, ub=ub)
+        rows = solve_qp(H, q, *_as_rows(C, lo, hi, lb, ub))
+        assert res.converged and rows.converged
+        event(f"active bounds: {int(np.count_nonzero(res.z))}")
+        scale = max(1.0, float(np.abs(rows.x).max()), float(np.abs(rows.y).max()))
+        assert np.abs(res.x - rows.x).max() <= 1e-9 * scale
+        f_res, f_rows = (0.5 * x @ H @ x + q @ x for x in (res.x, rows.x))
+        assert f_res == pytest.approx(f_rows, rel=1e-12, abs=1e-12)
+        assert np.abs(res.y - rows.y[:m]).max(initial=0.0) <= 1e-9 * scale
+        assert np.abs(res.z - rows.y[m:]).max() <= 1e-9 * scale
+        # stationarity in the documented sign convention
+        assert np.abs(H @ res.x + q + C.T @ res.y + res.z).max() <= 1e-8 * scale
+        assert (res.x >= lb - 1e-9).all() and (res.x <= ub + 1e-9).all()
+
+    @_PROPERTY
+    @given(qp=bounded_qps(), data=st.data())
+    def test_crossed_bounds_are_infeasible(self, qp, data):
+        H, q, C, lo, hi, lb, ub = qp
+        j = data.draw(st.integers(0, H.shape[0] - 1))
+        mid = lb[j] if np.isfinite(lb[j]) else (ub[j] if np.isfinite(ub[j]) else 0.0)
+        lb, ub = lb.copy(), ub.copy()
+        lb[j], ub[j] = mid + 0.5, mid - 0.5
+        assert solve_qp(H, q, C, lo, hi, lb=lb, ub=ub).termination == "infeasible"
+        assert solve_qp(H, q, *_as_rows(C, lo, hi, lb, ub)).termination == "infeasible"
+
+    @_PROPERTY
+    @given(
+        n=st.integers(2, 4),
+        m_in=st.integers(0, 3),
+        kinds=st.lists(st.sampled_from(("free", "lower", "upper", "both")), min_size=4, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bounds_agree_with_brute_force_oracle(self, n, m_in, kinds, seed):
+        # criterion 5's oracle takes C x >= b: each finite side of a row or
+        # bound is one such row
+        H, q, C, lo, hi, lb, ub = _bounded_qp(np.random.default_rng(seed), n, m_in, 0, kinds[:n])
+        G = np.vstack([C, -C, np.eye(n), -np.eye(n)])
+        b = np.concatenate([lo, -hi, lb, -ub])
+        keep = np.isfinite(b)
+        x_star, _, obj_star = brute_force_qp(H, q, G[keep], b[keep])
+        res = solve_qp(H, q, C, lo, hi, lb=lb, ub=ub)
+        assert res.converged
+        assert np.abs(res.x - x_star).max() <= 1e-7 * max(1.0, float(np.abs(x_star).max()))
+        assert 0.5 * res.x @ H @ res.x + q @ res.x == pytest.approx(obj_star, rel=1e-9, abs=1e-9)
 
 
 def _dense_projection(H, relative_floor):

@@ -16,7 +16,8 @@ from taskopt.solvers import (
     register_solver,
     solve_qp,
 )
-from taskopt.solvers.sqp import SQPSolver
+from taskopt.solvers import sqp as sqp_module
+from taskopt.solvers.sqp import SQPSolver, _BoundRows
 
 
 def _ik_problem(regularizer=1e-8):
@@ -67,9 +68,9 @@ class _CountingProblem:
         if not callable(attr):
             return attr
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             self.calls[(name, np.asarray(args[0]).tobytes())] += 1
-            return attr(*args)
+            return attr(*args, **kwargs)
 
         return counted
 
@@ -416,9 +417,13 @@ class TestSQPSolver:
         # prices each slack at w = 1e3 with curvature eps: both inequality
         # slacks s = 1 -/+ d and the equality's split slack p = 1 are
         # positive, so d minimizes 0.5 d^2 + 0.3 d + 0.5 eps |s|^2
+        # Both inequality rows bound d, so the plain QP gets lb = 1 > ub = -1
+        # and no general inequality row; the elastic QP rebuilds both rows.
         adapter = SQPSolver()
         adapter.initialize(None, SolverOptions())
-        C_in, r_in = np.array([[1.0], [-1.0]]), np.array([-1.0, -1.0])
+        bounds = (np.array([0, 1]), np.array([0, 0]), np.array([1.0, -1.0]))
+        adapter._bound_rows = _BoundRows(bounds, n_k=2, n_g=0, m_eq=1)
+        C_in, r_in = np.zeros((0, 1)), np.array([-1.0, -1.0])
         C_eq, r_eq = np.zeros((1, 1)), np.array([1.0])
         d, y, elastic = adapter._subproblem(
             np.eye(1), np.array([0.3]), C_in, r_in, C_eq, r_eq, np.zeros(3), 1.0
@@ -451,6 +456,71 @@ class TestSQPSolver:
         s.reset_parameters({"ref": ref, "qc": path[:, 0]})
         assert s.solve().success
         assert sizes and max(sizes) <= largest, sizes
+
+    def test_bound_rows_with_coefficients_and_duplicates(self):
+        # 2 x0 >= p0 (coefficient 2, constant from a parameter), two lower
+        # bounds on x1 (x1 >= -0.5 and x1 >= p1), x2 <= 1 written as
+        # -3 x2 + 3 >= 0, and one general row x1 + x2 <= 0.2.  With p =
+        # (3, -0.2) the optimum is (1.5, -0.2, 0.4): the coefficient-2 row,
+        # the tighter x1 row and the general row are active.
+        b = to.TaskBuilder(1)
+        x = b.add_decision_variables("x", 3)
+        p = b.add_parameter("p", 2)
+        b.add_cost_term("c", to.sumsqr(x - to.constant([1.0, -1.0, 0.5])))
+        b.add_leq_inequality_constraint("x0", p[0, 0], 2.0 * x[0, 0])
+        b.add_leq_inequality_constraint("x1_fixed", -0.5, x[1, 0])
+        b.add_leq_inequality_constraint("x1_param", p[1, 0], x[1, 0])
+        b.add_leq_inequality_constraint("x2", 0.0, -3.0 * x[2, 0] + 3.0)
+        b.add_leq_inequality_constraint("sum", x[1, 0] + x[2, 0], 0.2)
+        prob = b.build()
+        rows, cols, coefs = prob._bounds
+        assert rows.tolist() == [0, 1, 2, 3] and cols.tolist() == [0, 1, 1, 2]
+        assert coefs.tolist() == [2.0, 1.0, 1.0, -3.0]
+        s = Solver(prob).setup("sqp")
+        s.reset_parameters({"p": [3.0, -0.2]})
+        sol = s.solve()
+        assert sol.success and sol.termination == "kkt-tolerance"
+        assert sol.x == pytest.approx([1.5, -0.2, 0.4], abs=1e-9)
+        P = prob.parameters.vectorize({"p": [3.0, -0.2]})
+        assert sol.objective == prob.objective(sol.x, P)
+        assert sol.report == prob.feasibility(sol.x, P)
+
+    def test_horizon_bounds_stay_out_of_qp_rows(self, monkeypatch, horizon_task):
+        T = 4
+        robot, b = horizon_task(T)
+        p = b.build()
+        assert p._bounds[0].size == p.n_k  # every limit row bounds one variable
+        calls = []
+
+        def recording(H, q, C, l, u, *args, **kwargs):
+            calls.append((np.asarray(C), kwargs.get("lb"), kwargs.get("ub")))
+            return solve_qp(H, q, C, l, u, *args, **kwargs)
+
+        monkeypatch.setattr(sqp_module, "solve_qp", recording)
+        path = np.stack([np.linspace(0.3, 0.6, T), np.full(T, 0.5)])
+        ref = np.stack([robot.global_link_position("ee", q) for q in path.T], axis=1)
+        s = Solver(p).setup("sqp")
+        s.reset_parameters({"ref": ref, "qc": path[:, 0]})
+        assert s.solve().success
+        assert calls
+        for C, lb, ub in calls:
+            assert C.shape[0] == p.n_a + p.n_h + p.n_g  # no k row is a row of C
+            assert lb is not None and ub is not None
+
+    def test_solve_reports_on_the_last_point(self):
+        p = _obstacle_reach_problem()
+        counting = _CountingProblem(p)
+        start = [0.5 * np.pi, 0.0]
+        s = Solver(counting).setup("sqp")
+        s.reset_parameters({"start": start})
+        s.reset_initial_seed({"arm/0": np.tile(np.reshape(start, (2, 1)), 3)})
+        sol = s.solve()
+        assert sol.success
+        repeated = sorted(name for (name, _), k in counting.calls.items() if k > 1)
+        assert repeated == []
+        P = p.parameters.vectorize({"start": start})
+        assert sol.objective == p.objective(sol.x, P)
+        assert sol.report == p.feasibility(sol.x, P)
 
     def test_nan_at_seed(self):
         b = to.TaskBuilder(1)
