@@ -230,7 +230,9 @@ class Problem:
         self._M, self._c, self._A, self._b = (fns.get(k) for k in _PARAMETER_ONLY)
         self._g, self._Jg, self._h, self._Jh = (fns.get(k) for k in ("g", "Jg", "h", "Jh"))
         self.n_k, self.n_a, self.n_g, self.n_h = (len(self.labels[k]) for k in "kagh")
-        self._general_k = np.setdiff1d(np.arange(self.n_k), self._bounds[0])
+        general = np.ones(self.n_k, dtype=bool)
+        general[self._bounds[0]] = False
+        self._general_k = np.flatnonzero(general)
         self._classification = self._classify(quad_cost)
         # one constraint-name slot per row, in the report's row order [a; h; k; g]
         names = [name for part in "ahkg" for name in self.labels[part]]

@@ -173,7 +173,7 @@ class _BoundRows:
         for mask in (lower, ~lower):
             at = np.flatnonzero(mask)
             cols = self.cols[at]
-            self.sides.append((at, cols, np.unique(cols).size == cols.size))
+            self.sides.append((at, cols, np.bincount(cols).max(initial=0) <= 1))
 
     def k(self, x, M, c):
         """The k rows at x; ``M`` holds only the general k rows of M."""
