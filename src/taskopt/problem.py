@@ -148,7 +148,7 @@ def _bound_rows(entries, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             rows.append(i)
             cols.append(j)
             coefs.append(node.val)
-    triple = (np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp), np.array(coefs, dtype=float))
+    triple = (np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp), np.array(coefs))
     for a in triple:
         a.flags.writeable = False
     return triple

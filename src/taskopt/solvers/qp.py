@@ -100,7 +100,8 @@ class _WorkingSet:
         self.iterates = [np.zeros(Linv.shape[0])]
 
     def normals(self, rows):
-        """Whitened normals as columns: ``L^{-1} c_i`` for a row, column j of ``L^{-1}`` for a bound."""
+        """Whitened normals as columns: ``L^{-1} c_i`` for a row, column j of ``L^{-1}``
+        for the bound on ``x_j``."""
         new = rows[~self.whitened[rows]]
         if new.size:
             general = new[new < self.m]

@@ -234,7 +234,7 @@ class _BoundRows:
         return gL
 
     def dense(self, C_in, n):
-        """The whole inequality Jacobian ``[M; Jg]``, bound rows included, from the general rows ``C_in``."""
+        """The whole inequality Jacobian ``[M; Jg]`` from its general rows ``C_in``."""
         C = np.zeros((self.general.size + self.rows.size, n))
         C[self.rows, self.cols] = self.coefs
         C[self.general] = C_in
@@ -267,7 +267,7 @@ class SQPSolver(SolverAdapter):
         return f, r_in, r_eq
 
     def _derivatives(self, x, params, M, A):
-        """The cost gradient and the Jacobians of the general inequality rows and of the equality rows at x."""
+        """The cost gradient and the Jacobians of the general inequality and the equality rows at x."""
         prob = self.problem
         grad = prob.gradient(x, params)
         C_in = np.vstack([M, prob.nonlin_ineq_jacobian(x, params)])
