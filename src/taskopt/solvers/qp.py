@@ -284,6 +284,14 @@ def _qp_rows(C_in, r_in, C_eq, r_eq):
     return C, l, u
 
 
+def _append_bounds(sides, bounds, free, n):
+    """``sides`` followed by the n simple bounds; ``free`` where ``bounds`` is None, a scalar broadcast."""
+    out = np.empty(sides.size + n)
+    out[: sides.size] = sides
+    out[sides.size :] = free if bounds is None else bounds
+    return out
+
+
 def solve_qp(
     H, q, C, l, u, y0=None, options: SolverOptions | None = None, *, lb=None, ub=None
 ) -> QPResult:
@@ -305,8 +313,7 @@ def solve_qp(
     y_guess = None if y0 is None else np.asarray(y0, dtype=float).ravel()
     bounded = lb is not None or ub is not None
     if bounded:
-        l = np.concatenate([l, np.broadcast_to(-np.inf if lb is None else lb, n)])
-        u = np.concatenate([u, np.broadcast_to(np.inf if ub is None else ub, n)])
+        l, u = _append_bounds(l, lb, -np.inf, n), _append_bounds(u, ub, np.inf, n)
 
     if not (np.isfinite(H).all() and np.isfinite(q).all() and np.isfinite(C).all()) or (
         np.isnan(l).any() or np.isnan(u).any()
