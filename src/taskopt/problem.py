@@ -337,12 +337,21 @@ class Problem:
         return self._Jh(X, P) if self._Jh is not None else np.zeros((0, self.n_x))
 
     def constraints(self, X, P=()) -> ConstraintValues:
-        """Values of all four partitions at (X, P)."""
+        """Values of all four partitions at (X, P).
+
+        The k rows that bound one variable are gathered from ``_bounds``,
+        so a non-finite entry of X makes only the rows on that variable
+        non-finite.
+        """
         X, P = self._check(X, P)
-        M, c = self.lin_ineq(P)
+        M, c = self._lin_ineq_general(P)
+        rows, cols, coefs = self._bounds
+        k = np.empty(self.n_k)
+        k[rows] = coefs * X[cols] + c[rows]
+        k[self._general_k] = M @ X + c[self._general_k]
         A, b = self.lin_eq(P)
         return ConstraintValues(
-            k=M @ X + c if self.n_k else np.zeros(0),
+            k=k,
             a=A @ X + b if self.n_a else np.zeros(0),
             g=self.nonlin_ineq(X, P),
             h=self.nonlin_eq(X, P),

@@ -22,6 +22,16 @@ Ferreau et al. 2014); the seed is kept only when it is independent and
 dual feasible.  A positive semidefinite H is handled by proximal-point
 outer steps on ``H + delta I``, all sharing one factor.
 
+A caller whose equality rows stay fixed over many QPs (SQP's linear rows
+A, which depend only on the parameters) can factor them once, as a
+:class:`_NullSpace`, and pass it to each QP.  The null-space method
+(Nocedal & Wright, *Numerical Optimization*, sec. 16.2) then writes
+``x = d_p + Z v``, where ``A d_p = e`` and Z spans the null space of A, and
+the same iteration solves the reduced QP in v: ``Z'HZ`` is factored, and
+every other row and every finite bound is a row of ``n - rank`` columns.
+H need only be positive definite on that null space.  The rows' own
+multipliers come from stationarity at the answer.
+
 Dual convention matches the stationarity condition ``Hx + q + C'y + z = 0``:
 ``y >= 0`` on active upper row bounds and ``y <= 0`` on active lower ones,
 and likewise ``z`` on the simple bounds.
@@ -64,6 +74,8 @@ class QPResult:
 def _inverse_factor(H):
     """``L^{-1}`` for the Cholesky factor ``H = L L'``, or None when H is not
     numerically positive definite."""
+    if H.shape[0] == 0:  # a QP left with no free direction
+        return np.zeros((0, 0))
     L, info = lapack.dpotrf(H, lower=1, clean=1)
     if info != 0:
         return None
@@ -142,7 +154,7 @@ class _WorkingSet:
             self.normals(rows) * sides, mode="economic", pivoting=True, check_finite=False
         )
         d = np.abs(np.diag(R))
-        rank = int(np.count_nonzero(d > _DEPENDENT * d[0]))
+        rank = int(np.count_nonzero(d > _DEPENDENT * d[0])) if d.size else 0
         self.rows, self.sides = rows[piv[:rank]], sides[piv[:rank]]
         self.Q, self.R = Q[:, :rank], np.ascontiguousarray(R[:rank, :rank])
         gap = self.bound(self.rows, self.sides) - self.sides * self.values(self.rows)
@@ -292,8 +304,137 @@ def _append_bounds(sides, bounds, free, n):
     return out
 
 
+def _active_set(H, q, C, l, u, y_guess, opts, bounded):
+    """Run the Goldfarb-Idnani iteration on a symmetric H.
+
+    Returns ``(ws, termination)``, or None when H (even shifted by the
+    proximal weight) is not numerically positive definite.
+    """
+    n = H.shape[0]
+    eq = np.abs(u - l) <= 1e-12
+    Linv = _inverse_factor(H)
+    delta = 0.0
+    if Linv is None:
+        delta = _PROXIMAL * max(1.0, float(np.abs(np.diag(H)).max(initial=0.0)))
+        Linv = _inverse_factor(H + delta * np.eye(n))
+        if Linv is None:
+            return None
+    ws = _WorkingSet(Linv, C, l, u, eq, bounded)
+
+    x = np.zeros(n)
+    while True:
+        # with delta > 0 each pass is one proximal step: the cost gains
+        # 0.5 delta |x - x_k|^2, which shifts q by -delta x_k
+        started = ws.start(q - delta * x, y_guess, opts)
+        ws.iterates.append(ws.x)
+        if not started:
+            return ws, "infeasible"
+        termination = ws.run(opts)
+        x, (y, z) = ws.x, ws.multipliers()
+        if delta == 0.0 or termination != "kkt-tolerance":
+            return ws, termination
+        Hx, Cty = H @ x, C.T @ y + z
+        eps_dual = opts.qp_absolute_tolerance + opts.qp_relative_tolerance * max(
+            np.abs(Hx).max(initial=0.0), np.abs(Cty).max(initial=0.0), np.abs(q).max(initial=0.0)
+        )
+        if np.abs(Hx + q + Cty).max(initial=0.0) <= eps_dual:
+            return ws, termination
+        if ws.iterations - 1 >= opts.qp_max_iterations:
+            return ws, "max-iterations"
+        y_guess = y
+
+
+class _NullSpace:
+    """A basis of the null space of equality rows ``A x = e``, for eliminating them.
+
+    ``A`` are the rows ``first .. first + A.shape[0] - 1`` of the C that
+    :func:`solve_qp` is given with this basis, and both of their sides are
+    ``e``.  The pivoted QR ``A'[:, piv] = [Y Z] R`` takes the rank by the
+    ``_DEPENDENT`` rule on ``|diag R|``: Y spans the independent rows, Z
+    (n x (n - rank), orthonormal columns) the step directions that keep
+    every row, and ``R`` is the leading rank x rank triangle.  A caller
+    builds this once for as long as A holds and passes it to every QP.
+    """
+
+    def __init__(self, A, first: int):
+        self.A = np.array(A, dtype=float)
+        self.rows = slice(first, first + self.A.shape[0])
+        Q, R, piv = scipy.linalg.qr(self.A.T, pivoting=True, check_finite=False)
+        d = np.abs(np.diag(R))
+        rank = int(np.count_nonzero(d > _DEPENDENT * d[0])) if d.size else 0
+        self.Y, self.Z = Q[:, :rank], Q[:, rank:]
+        self.R = np.ascontiguousarray(R[:rank, :rank])
+        self.independent = piv[:rank]
+        # (finiteness pattern of lb | ub, bounded variables, their rows of Z)
+        self._bounded = (None, None, None)
+
+    def particular(self, e):
+        """The step ``Y R^{-T} e[piv]``, which meets the independent rows ``A d = e``."""
+        return self.Y @ _solve_r(self.R, e[self.independent], trans=1)
+
+    def multipliers(self, residual):
+        """Multipliers ``y`` of the rows with ``A'y + residual = 0`` on the range of Y.
+
+        ``y[piv] = -R^{-1} Y' residual``; a dependent row gets 0.
+        """
+        y = np.zeros(self.A.shape[0])
+        y[self.independent] = -_solve_r(self.R, self.Y.T @ residual)
+        return y
+
+    def bounded(self, lb, ub):
+        """``(variables, Z[variables])`` of the variables with a finite bound.
+
+        A row of Z no longer than ``_DEPENDENT`` (the rows fix that
+        variable) is zeroed, as it would be roundoff.  Cached on the
+        finiteness pattern of the bounds.
+        """
+        n = self.Z.shape[0]
+        finite = np.zeros(n, dtype=bool)
+        for side in (lb, ub):
+            if side is not None:
+                finite |= np.isfinite(side)
+        key = finite.tobytes()
+        if key != self._bounded[0]:
+            variables = np.flatnonzero(finite)
+            Zb = self.Z[variables]
+            Zb[np.linalg.norm(Zb, axis=1) <= _DEPENDENT] = 0.0
+            self._bounded = (key, variables, Zb)
+        return self._bounded[1:]
+
+
+def _reduced_rows(C_rest, l_rest, u_rest, d_p, lb, ub, ns):
+    """The rows and sides over v of the rows ``C_rest`` and the bounds, at ``x = d_p + Z v``.
+
+    A reduced row no longer than ``_DEPENDENT`` times its row is zeroed, as
+    it would be roundoff.
+    """
+    Z = ns.Z
+    variables, Zb = ns.bounded(lb, ub)
+    C_r = C_rest @ Z
+    if C_rest.shape[0]:
+        C_r[np.linalg.norm(C_r, axis=1) <= _DEPENDENT * np.linalg.norm(C_rest, axis=1)] = 0.0
+    Cd = C_rest @ d_p
+    low = np.full(variables.size, -np.inf) if lb is None else lb[variables]
+    high = np.full(variables.size, np.inf) if ub is None else ub[variables]
+    dv = d_p[variables]
+    C_red = np.vstack([C_r, Zb])
+    l_red = np.concatenate([l_rest - Cd, low - dv])
+    u_red = np.concatenate([u_rest - Cd, high - dv])
+    return C_red, l_red, u_red, variables
+
+
 def solve_qp(
-    H, q, C, l, u, y0=None, options: SolverOptions | None = None, *, lb=None, ub=None
+    H,
+    q,
+    C,
+    l,
+    u,
+    y0=None,
+    options: SolverOptions | None = None,
+    *,
+    lb=None,
+    ub=None,
+    _null_space: _NullSpace | None = None,
 ) -> QPResult:
     """Solve one convex QP exactly.
 
@@ -301,6 +442,14 @@ def solve_qp(
     ``lb <= x <= ub`` are optional simple bounds; a missing side is
     unbounded, and an infinite entry leaves its side of that variable
     free.  Their multipliers are :attr:`QPResult.z`.
+
+    ``_null_space``, private, is a :class:`_NullSpace` of equality rows of
+    C.  Those rows are then eliminated: x is ``d_p + Z v``, and the same
+    iteration solves for v, with every other row and every finite bound
+    as a row (n - rank) wide.  H has only to be positive definite on the
+    null space of the rows.  Unreduced, a bound is tested against x and
+    its whitened normal is a column of ``L^{-1}``; reduced, it is the row
+    ``Z[j]`` like any other.
     """
     opts = options or SolverOptions()
     H = np.asarray(H, dtype=float)
@@ -312,51 +461,63 @@ def solve_qp(
     m = C.shape[0]
     y_guess = None if y0 is None else np.asarray(y0, dtype=float).ravel()
     bounded = lb is not None or ub is not None
-    if bounded:
-        l, u = _append_bounds(l, lb, -np.inf, n), _append_bounds(u, ub, np.inf, n)
 
     if not (np.isfinite(H).all() and np.isfinite(q).all() and np.isfinite(C).all()) or (
         np.isnan(l).any() or np.isnan(u).any()
     ):
         return _failed(n, m, "nan")
+    if _null_space is not None:
+        return _solve_reduced(H, q, C, l, u, y_guess, opts, lb, ub, _null_space)
 
-    eq = np.abs(u - l) <= 1e-12
+    if bounded:
+        l, u = _append_bounds(l, lb, -np.inf, n), _append_bounds(u, ub, np.inf, n)
     H = 0.5 * (H + H.T)
-    Linv = _inverse_factor(H)
-    delta = 0.0
-    if Linv is None:
-        delta = _PROXIMAL * max(1.0, float(np.abs(np.diag(H)).max(initial=0.0)))
-        Linv = _inverse_factor(H + delta * np.eye(n))
-        if Linv is None:
-            return _failed(n, m, "not-convex")
-    ws = _WorkingSet(Linv, C, l, u, eq, bounded)
-
-    x = np.zeros(n)
-    while True:
-        # with delta > 0 each pass is one proximal step: the cost gains
-        # 0.5 delta |x - x_k|^2, which shifts q by -delta x_k
-        started = ws.start(q - delta * x, y_guess, opts)
-        ws.iterates.append(ws.x)
-        if not started:
-            termination = "infeasible"
-            break
-        termination = ws.run(opts)
-        x, (y, z) = ws.x, ws.multipliers()
-        if delta == 0.0 or termination != "kkt-tolerance":
-            break
-        Hx, Cty = H @ x, C.T @ y + z
-        eps_dual = opts.qp_absolute_tolerance + opts.qp_relative_tolerance * max(
-            np.abs(Hx).max(initial=0.0), np.abs(Cty).max(initial=0.0), np.abs(q).max(initial=0.0)
-        )
-        if np.abs(Hx + q + Cty).max(initial=0.0) <= eps_dual:
-            break
-        if ws.iterations - 1 >= opts.qp_max_iterations:
-            termination = "max-iterations"
-            break
-        y_guess = y
-
+    solved = _active_set(H, q, C, l, u, y_guess, opts, bounded)
+    if solved is None:
+        return _failed(n, m, "not-convex")
+    ws, termination = solved
     x, (y, z) = ws.x, ws.multipliers()
-    X = np.asarray(ws.iterates)
+    return _result(x, y, z, ws, termination, np.asarray(ws.iterates), H, q)
+
+
+def _solve_reduced(H, q, C, l, u, y_guess, opts, lb, ub, ns):
+    """:func:`solve_qp` with the rows of ``ns`` eliminated."""
+    n, m = H.shape[0], C.shape[0]
+    a = ns.rows
+    e = l[a]
+    d_p = ns.particular(e)
+    Ad = ns.A @ d_p
+    tol = opts.qp_absolute_tolerance + opts.qp_relative_tolerance * np.abs(Ad).max(initial=0.0)
+    if np.abs(Ad - e).max(initial=0.0) > tol:
+        return _failed(n, m, "infeasible")
+
+    rest = np.concatenate([np.arange(a.start), np.arange(a.stop, m)])
+    C_rest = C[rest]
+    C_red, l_red, u_red, variables = _reduced_rows(C_rest, l[rest], u[rest], d_p, lb, ub, ns)
+    Z = ns.Z
+    Hd, HZ = H @ d_p, H @ Z
+    H_r = Z.T @ HZ
+    H_r = 0.5 * (H_r + H_r.T)
+    q_r = Z.T @ (q + Hd)
+    if y_guess is not None and y_guess.size == m:
+        y_guess = np.concatenate([y_guess[rest], np.zeros(variables.size)])
+    solved = _active_set(H_r, q_r, C_red, l_red, u_red, y_guess, opts, False)
+    if solved is None:
+        return _failed(n, m, "not-convex")
+    ws, termination = solved
+    y_red = ws.multipliers()[0]
+    x = d_p + Z @ ws.x
+    y, z = np.zeros(m), np.zeros(n)
+    y[rest] = y_red[: rest.size]
+    z[variables] = y_red[rest.size :]
+    y[a] = ns.multipliers(Hd + HZ @ ws.x + q + C_rest.T @ y[rest] + z)
+    X = d_p + np.asarray(ws.iterates) @ Z.T
+    X[0] = 0.0
+    return _result(x, y, z, ws, termination, X, H, q)
+
+
+def _result(x, y, z, ws, termination, X, H, q) -> QPResult:
+    """The QPResult of a finished iteration; ``X`` are its iterates in x."""
     return QPResult(
         x=x,
         y=y,

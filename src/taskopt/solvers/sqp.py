@@ -13,6 +13,12 @@ with the horizon rather than with the cube of n.  Only a subproblem the QP
 certifies infeasible is solved again, with elastic slacks weighted by 1e3
 times the current penalty.
 
+The linear equality rows A depend only on the parameters, so each solve
+checks that A has the bytes of the last one and otherwise factors it
+anew (``qp._NullSpace``, a pivoted QR of A').  Every plain subproblem
+gets that basis and eliminates the a rows with it, so no QP factors them
+again; the elastic retry keeps them as rows.
+
 The k rows that bound one variable (``Problem._bounds``) go to the QP as
 bounds on the step, not as rows: a point's values of them are one gather,
 ``coef * x[col] + c``, and the QP gets ``lb``/``ub`` on d from them, the
@@ -41,7 +47,7 @@ import numpy as np
 
 from ..problem import ProblemClass
 from .base import SolverAdapter, SolverOptions, Stats
-from .qp import _qp_rows, solve_qp
+from .qp import _NullSpace, _qp_rows, solve_qp
 
 __all__ = ["SQPSolver", "QuasiNewtonSolver", "damped_bfgs_update"]
 
@@ -253,6 +259,9 @@ class SQPSolver(SolverAdapter):
         # _block_positions of the cost Hessian and the _BoundRows, on the first solve
         self._blocks = None
         self._bound_rows = None
+        # the _NullSpace of the a rows, built on the first solve and again
+        # whenever A changes
+        self._null_space = None
 
     # evaluation ------------------------------------------------------------
     def _values(self, x, params, M, c, A, b):
@@ -270,8 +279,8 @@ class SQPSolver(SolverAdapter):
         """The cost gradient and the Jacobians of the general inequality and the equality rows at x."""
         prob = self.problem
         grad = prob.gradient(x, params)
-        C_in = np.vstack([M, prob.nonlin_ineq_jacobian(x, params)])
-        C_eq = np.vstack([A, prob.nonlin_eq_jacobian(x, params)])
+        C_in = np.vstack([M, prob.nonlin_ineq_jacobian(x, params)]) if prob.n_g else M
+        C_eq = np.vstack([A, prob.nonlin_eq_jacobian(x, params)]) if prob.n_h else A
         return grad, C_in, C_eq
 
     # subproblem ----------------------------------------------------------
@@ -298,6 +307,7 @@ class SQPSolver(SolverAdapter):
             options=opts,
             lb=lb,
             ub=ub,
+            _null_space=self._null_space,
         )
         if res.termination != "infeasible":
             y = np.zeros(m_in + m_eq)
@@ -324,6 +334,18 @@ class SQPSolver(SolverAdapter):
         res = solve_qp(H_aug, q_aug, *_qp_rows(C_in_aug, r_in_aug, C_eq_aug, r_eq), options=opts)
         return res.x[:n], np.concatenate([res.y[:m_in], res.y[m_in + n_slack :]]), True
 
+    def _update_null_space(self, A):
+        """Keep ``_null_space`` a basis of this A: built when A's bytes differ from its own.
+
+        The a rows sit after the general inequality rows in the QP's C.
+        Without a rows, or with a non-finite A, there is none.
+        """
+        ns = self._null_space
+        if A.shape[0] == 0 or not np.isfinite(A).all():
+            self._null_space = None
+        elif ns is None or not np.array_equal(ns.A.view(np.uint64), A.view(np.uint64)):
+            self._null_space = _NullSpace(A, self._bound_rows.general.size)
+
     # main loop -------------------------------------------------------------
     def solve(self, x0, params):
         prob, opts = self.problem, self.options
@@ -337,6 +359,7 @@ class SQPSolver(SolverAdapter):
 
         M, c = prob._lin_ineq_general(params)
         A, b = prob.lin_eq(params)
+        self._update_null_space(A)
 
         def violation(r_in, r_eq):
             return float(np.abs(r_eq).sum()) + float(np.maximum(-r_in, 0.0).sum())

@@ -32,30 +32,39 @@ def fd_close(approx, exact, rel=1e-6, abs_=1e-8):
     return bool(np.all(np.abs(approx - exact) <= rel * np.abs(exact) + abs_))
 
 
-def brute_force_qp(H, q, C, b):
+def brute_force_qp(H, q, C, b, E=None, e=None):
     """Minimize 0.5 x'Hx + q'x subject to C x >= b by enumerating active sets.
 
-    Strictly convex H assumed.  Returns (x, lam, objective); lam >= 0 holds
-    the inequality multipliers with stationarity H x + q - C' lam = 0.
+    Strictly convex H assumed.  Equality rows ``E x = e``, when given, are
+    held in every active set, with multipliers of either sign; a set of
+    dependent rows is skipped, as its KKT matrix is singular.  Returns
+    (x, lam, objective); lam >= 0 holds the inequality multipliers with
+    stationarity H x + q - C' lam - E' nu = 0.
     """
     n, m = H.shape[0], C.shape[0]
+    E = np.zeros((0, n)) if E is None else E
+    e = np.zeros(0) if e is None else e
+    p = E.shape[0]
     best = None
     for r in range(m + 1):
         for subset in itertools.combinations(range(m), r):
             idx = list(subset)
-            k = len(idx)
+            rows = np.vstack([E, C[idx]])
+            k = rows.shape[0]
+            if k and np.linalg.matrix_rank(rows) < k:
+                continue  # an optimum has an active set of independent rows
             kkt = np.zeros((n + k, n + k))
             kkt[:n, :n] = H
             if k:
-                kkt[:n, n:] = -C[idx].T
-                kkt[n:, :n] = C[idx]
-            rhs = np.concatenate([-q, b[idx]])
+                kkt[:n, n:] = -rows.T
+                kkt[n:, :n] = rows
+            rhs = np.concatenate([-q, e, b[idx]])
             try:
                 sol = np.linalg.solve(kkt, rhs)
             except np.linalg.LinAlgError:
                 continue
             x = sol[:n]
-            lam_act = sol[n:]
+            lam_act = sol[n + p :]
             if np.any(lam_act < -1e-9):
                 continue
             if np.any(C @ x - b < -1e-9):

@@ -99,6 +99,28 @@ class TestEvaluators:
             assert np.array_equal(vals.k, M @ X + c)
             assert np.array_equal(vals.a, A @ X + b)
 
+    def test_bound_rows_gathered_beside_general_rows(self):
+        # four bound rows (one with coefficient 3) and two general rows
+        b = to.TaskBuilder(1)
+        x = b.add_decision_variables("x", 3)
+        p = b.add_parameter("p", 2)
+        b.add_cost_term("c", to.sumsqr(x))
+        b.add_leq_inequality_constraint("lo", p[0, 0], x)
+        b.add_leq_inequality_constraint("sum", x[0, 0] + x[1, 0], 1.0)
+        b.add_leq_inequality_constraint("hi", 3.0 * x[2, 0], p[1, 0])
+        b.add_leq_inequality_constraint("mix", x[2, 0], x[1, 0])
+        prob = b.build()
+        assert prob._bounds[0].tolist() == [0, 1, 2, 4] and prob._general_k.tolist() == [3, 5]
+        P = np.array([-0.5, 2.0])
+        M, c = prob.lin_ineq(P)
+        rng = np.random.default_rng(4)
+        for _ in range(5):
+            X = rng.normal(size=3)
+            assert np.array_equal(prob.constraints(X, P).k, M @ X + c)
+        # an infinite x1 reaches only the rows on x1: lo[1], sum and mix
+        k = prob.constraints([0.3, np.inf, 0.2], P).k
+        assert np.isfinite(k).tolist() == [True, False, True, False, True, False]
+
     def test_empty_partitions_zero_length(self):
         b = to.TaskBuilder(1)
         x = b.add_decision_variables("x", 2)

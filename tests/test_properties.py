@@ -14,6 +14,7 @@ from taskopt import expr
 from taskopt.expr import CompiledFunction, Expression, Node
 from taskopt.problem import _hessian_blocks
 from taskopt.solvers import solve_qp
+from taskopt.solvers.qp import _NullSpace
 from taskopt.solvers.sqp import _MIN_EIGENVALUE, _block_positions, _psd_projection
 
 from conftest import brute_force_qp
@@ -605,6 +606,103 @@ class TestSimpleBounds:
         assert res.converged
         assert np.abs(res.x - x_star).max() <= 1e-7 * max(1.0, float(np.abs(x_star).max()))
         assert 0.5 * res.x @ H @ res.x + q @ res.x == pytest.approx(obj_star, rel=1e-9, abs=1e-9)
+
+
+@st.composite
+def null_space_qps(draw, max_n=6):
+    """``_bounded_qp`` with its equality rows, maybe one duplicated, between its inequality rows.
+
+    Returns the QP and the :class:`_NullSpace` of the equality rows.
+    """
+    n = draw(st.integers(2, max_n))
+    kinds = draw(st.lists(st.sampled_from(_BOUND_KINDS), min_size=n, max_size=n))
+    m_eq = draw(st.integers(1, max(1, n - kinds.count("fixed"))))
+    m_in = draw(st.integers(0, n + 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    H, q, C, lo, hi, lb, ub = _bounded_qp(rng, n, m_in, m_eq, kinds)
+    eq = np.arange(m_in, m_in + m_eq)
+    if draw(st.booleans()):
+        eq = np.append(eq, m_in + draw(st.integers(0, m_eq - 1)))
+    split = draw(st.integers(0, m_in))
+    order = np.concatenate([np.arange(split), eq, np.arange(split, m_in)])
+    return (H, q, C[order], lo[order], hi[order], lb, ub), _NullSpace(C[eq], split)
+
+
+class TestNullSpace:
+    @_PROPERTY
+    @given(case=null_space_qps())
+    def test_matches_the_unreduced_qp(self, case):
+        (H, q, C, lo, hi, lb, ub), ns = case
+        full = solve_qp(H, q, C, lo, hi, lb=lb, ub=ub)
+        red = solve_qp(H, q, C, lo, hi, lb=lb, ub=ub, _null_space=ns)
+        event(f"null space dimension: {ns.Z.shape[1]}")
+        assert red.termination == full.termination == "kkt-tolerance"
+        scale = max(1.0, float(np.abs(full.x).max()), float(np.abs(full.y).max(initial=0.0)))
+        assert np.abs(red.x - full.x).max() <= 1e-9 * scale
+        f_red, f_full = (0.5 * x @ H @ x + q @ x for x in (red.x, full.x))
+        assert f_red == pytest.approx(f_full, rel=1e-9, abs=1e-9)
+        # a duplicated row may split its multiplier differently
+        assert np.abs(C.T @ red.y + red.z - (C.T @ full.y + full.z)).max() <= 1e-9 * scale
+
+    @_PROPERTY
+    @given(
+        n=st.integers(2, 4),
+        m_in=st.integers(0, 3),
+        data=st.data(),
+        kinds=st.lists(st.sampled_from(("free", "lower", "upper", "both")), min_size=4, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_agrees_with_brute_force_oracle(self, n, m_in, data, kinds, seed):
+        m_eq = data.draw(st.integers(1, n))
+        H, q, C, lo, hi, lb, ub = _bounded_qp(np.random.default_rng(seed), n, m_in, m_eq, kinds[:n])
+        C_in, E = C[:m_in], C[m_in:]
+        G = np.vstack([C_in, -C_in, np.eye(n), -np.eye(n)])
+        b = np.concatenate([lo[:m_in], -hi[:m_in], lb, -ub])
+        keep = np.isfinite(b)
+        x_star, _, obj_star = brute_force_qp(H, q, G[keep], b[keep], E, lo[m_in:])
+        res = solve_qp(H, q, C, lo, hi, lb=lb, ub=ub, _null_space=_NullSpace(E, m_in))
+        assert res.converged
+        assert np.abs(res.x - x_star).max() <= 1e-7 * max(1.0, float(np.abs(x_star).max()))
+        assert 0.5 * res.x @ H @ res.x + q @ res.x == pytest.approx(obj_star, rel=1e-9, abs=1e-9)
+
+    def test_rows_that_fix_bounded_variables(self):
+        # the rows fix x0, x1 and x3, so Z is e_2 up to roundoff, and H is
+        # positive definite only on that null space.  x2 is free: a bound
+        # or row on the fixed variables taken as a roundoff direction
+        # would send it far off.
+        A = np.array([[1.0, 2.0, 0.0, 0.3], [1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
+        e = A @ np.array([0.5, 0.2, 0.0, 0.1])
+        H, q = np.diag([0.0, 0.0, 2.0, 0.0]), np.array([1.0, -1.0, 1.0, 2.0])
+        lb = np.array([-1.0, -1.0, -np.inf, -1.0])
+        ns = _NullSpace(A, 0)
+        x0_cap = np.array([0.4, np.inf, np.inf, np.inf])
+        # x0 - x1 <= 0.2, where the rows fix x0 - x1 = 0.3
+        C, lo, hi = np.vstack([A, [1.0, -1.0, 0.0, 0.0]]), np.append(e, -np.inf), np.append(e, 0.2)
+        cases = (
+            ((A, e, e), None, "kkt-tolerance"),
+            ((A, e, e), x0_cap, "infeasible"),
+            ((C, lo, hi), None, "infeasible"),
+        )
+        for rows, ub, termination in cases:
+            full = solve_qp(H, q, *rows, lb=lb, ub=ub)
+            red = solve_qp(H, q, *rows, lb=lb, ub=ub, _null_space=ns)
+            assert full.termination == red.termination == termination
+        x = solve_qp(H, q, A, e, e, lb=lb, _null_space=ns).x
+        assert x == pytest.approx([0.5, 0.2, -0.5, 0.1], abs=1e-12)
+
+    @_PROPERTY
+    @given(case=null_space_qps(), data=st.data())
+    def test_inconsistent_rows_are_infeasible(self, case, data):
+        (H, q, C, lo, hi, lb, ub), ns = case
+        # a copy of one equality row, with its side moved by 1, joins the rows
+        i = data.draw(st.integers(0, ns.A.shape[0] - 1))
+        a = ns.rows
+        C = np.vstack([C[: a.stop], ns.A[i], C[a.stop :]])
+        side = lo[a.start + i] + 1.0
+        lo, hi = (np.concatenate([s[: a.stop], [side], s[a.stop :]]) for s in (lo, hi))
+        ns = _NullSpace(C[a.start : a.stop + 1], a.start)
+        assert solve_qp(H, q, C, lo, hi, lb=lb, ub=ub).termination == "infeasible"
+        assert solve_qp(H, q, C, lo, hi, lb=lb, ub=ub, _null_space=ns).termination == "infeasible"
 
 
 def _dense_projection(H, relative_floor):

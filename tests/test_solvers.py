@@ -16,6 +16,7 @@ from taskopt.solvers import (
     register_solver,
     solve_qp,
 )
+from taskopt.solvers import qp as qp_module
 from taskopt.solvers import sqp as sqp_module
 from taskopt.solvers.sqp import SQPSolver, _BoundRows
 
@@ -506,6 +507,98 @@ class TestSQPSolver:
         for C, lb, ub in calls:
             assert C.shape[0] == p.n_a + p.n_h + p.n_g  # no k row is a row of C
             assert lb is not None and ub is not None
+
+    def test_equality_rows_factored_once_per_session(self, monkeypatch, horizon_task):
+        T = 4
+        robot, b = horizon_task(T)
+        p = b.build()
+        shapes = []
+        qr = qp_module.scipy.linalg.qr
+
+        def recording(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return qr(a, *args, **kwargs)
+
+        monkeypatch.setattr(qp_module.scipy.linalg, "qr", recording)
+        path = np.stack([np.linspace(0.3, 0.6, T + 3), np.full(T + 3, 0.5)])
+        ref = np.stack([robot.global_link_position("ee", q) for q in path.T], axis=1)
+        s = Solver(p).setup("sqp")
+        for t in range(4):  # warm solves along the reference, one stage apart
+            s.reset_parameters({"ref": ref[:, t : t + T], "qc": path[:, t]})
+            sol = s.solve()
+            assert sol.success
+            s.reset_initial_seed(sol)
+        assert shapes == [(p.n_x, p.n_a)]  # A' once, for the null-space basis
+
+    def test_null_space_follows_a_parameter_of_the_rows(self):
+        # the Euler rows' step is a parameter, so A changes with it
+        T = 4
+        r = to.RobotModel(to.fixture_path("planar2r"), tip="ee", name="arm", time_derivs=(0, 1))
+        b = to.TaskBuilder(T, robots=[r])
+        ref = b.add_parameter("ref", 3, T)
+        tracking = to.constant(0.0)
+        for t in range(T):
+            tip = r.global_link_position("ee", b.get_model_state("arm", t))
+            tracking = tracking + to.sumsqr(tip - ref[:, t])
+        b.add_cost_term("tracking", tracking)
+        b.add_cost_term("rates", 1e-3 * to.sumsqr(b.model_block("arm", 1)))
+        b.add_equality_constraint("init", b.get_model_state("arm", 0), b.add_parameter("qc", 2))
+        b.integrate_model_states("arm", 1, b.add_parameter("step"))
+        b.enforce_model_limits("arm")
+        p = b.build()
+        path = np.stack([np.linspace(0.3, 0.6, T), np.full(T, 0.5)])
+        tips = np.stack([r.global_link_position("ee", q) for q in path.T], axis=1)
+
+        def params(step):
+            return {"ref": tips, "qc": path[:, 0], "step": step}
+
+        A1 = p.lin_eq(p.parameters.vectorize(params(0.1)))[0]
+        A2 = p.lin_eq(p.parameters.vectorize(params(0.05)))[0]
+        assert not np.array_equal(A1, A2)
+        session = Solver(p).setup("sqp")
+        session.reset_parameters(params(0.1))
+        assert session.solve().success
+        answers = []
+        for s in (session, Solver(p).setup("sqp")):
+            s.reset_parameters(params(0.05))
+            s.reset_initial_seed({"arm/0": path})
+            sol = s.solve()
+            assert sol.success
+            answers.append((sol.x.tobytes(), sol.iterations))
+        assert answers[0] == answers[1]
+
+    def test_horizon_with_a_duplicated_pin(self, horizon_task):
+        # the second pin repeats the first, so A is rank-deficient
+        T = 4
+        robot, b = horizon_task(T)
+        qc = b.add_parameter("qc_again", 2)
+        b.add_equality_constraint("init_again", b.get_model_state("arm", 0), qc)
+        p = b.build()
+        path = np.stack([np.linspace(0.3, 0.6, T), np.full(T, 0.5)])
+        ref = np.stack([robot.global_link_position("ee", q) for q in path.T], axis=1)
+        s = Solver(p).setup("sqp")
+        s.reset_parameters({"ref": ref, "qc": path[:, 0], "qc_again": path[:, 0]})
+        sol = s.solve()
+        assert sol.success and sol.report.ok(1e-9)
+        assert np.abs(sol["arm/0"][:, 0] - path[:, 0]).max() <= 1e-9
+
+    def test_rows_leaving_no_free_direction(self):
+        # two independent rows on two variables: the null space is empty
+        b = to.TaskBuilder(1)
+        x = b.add_decision_variables("x", 2)
+        p = b.add_parameter("p")
+        b.add_cost_term("c", to.sumsqr(to.sin(x)) + x[0, 0] * x[1, 0])
+        b.add_equality_constraint("sum", x[0, 0] + x[1, 0], 1.0)
+        b.add_equality_constraint("diff", x[0, 0] - x[1, 0], p)
+        b.add_leq_inequality_constraint("box", x, 2.0)
+        prob = b.build()
+        assert prob.n_a == prob.n_x == 2
+        s = Solver(prob).setup("sqp")
+        s.reset_parameters({"p": 0.4})
+        sol = s.solve()
+        assert sol.success
+        assert sol.x == pytest.approx([0.7, 0.3], abs=1e-12)
+        assert s._adapter._null_space.Z.shape == (2, 0)
 
     def test_solve_reports_on_the_last_point(self):
         p = _obstacle_reach_problem()
