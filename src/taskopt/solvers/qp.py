@@ -402,27 +402,6 @@ class _NullSpace:
         return self._bounded[1:]
 
 
-def _reduced_rows(C_rest, l_rest, u_rest, d_p, lb, ub, ns):
-    """The rows and sides over v of the rows ``C_rest`` and the bounds, at ``x = d_p + Z v``.
-
-    A reduced row no longer than ``_DEPENDENT`` times its row is zeroed, as
-    it would be roundoff.
-    """
-    Z = ns.Z
-    variables, Zb = ns.bounded(lb, ub)
-    C_r = C_rest @ Z
-    if C_rest.shape[0]:
-        C_r[np.linalg.norm(C_r, axis=1) <= _DEPENDENT * np.linalg.norm(C_rest, axis=1)] = 0.0
-    Cd = C_rest @ d_p
-    low = np.full(variables.size, -np.inf) if lb is None else lb[variables]
-    high = np.full(variables.size, np.inf) if ub is None else ub[variables]
-    dv = d_p[variables]
-    C_red = np.vstack([C_r, Zb])
-    l_red = np.concatenate([l_rest - Cd, low - dv])
-    u_red = np.concatenate([u_rest - Cd, high - dv])
-    return C_red, l_red, u_red, variables
-
-
 def solve_qp(
     H,
     q,
@@ -483,7 +462,7 @@ def solve_qp(
 def _solve_reduced(H, q, C, l, u, y_guess, opts, lb, ub, ns):
     """:func:`solve_qp` with the rows of ``ns`` eliminated."""
     n, m = H.shape[0], C.shape[0]
-    a = ns.rows
+    a, Z = ns.rows, ns.Z
     e = l[a]
     d_p = ns.particular(e)
     Ad = ns.A @ d_p
@@ -491,10 +470,22 @@ def _solve_reduced(H, q, C, l, u, y_guess, opts, lb, ub, ns):
     if np.abs(Ad - e).max(initial=0.0) > tol:
         return _failed(n, m, "infeasible")
 
+    # the other rows, then the bounds, as rows over v; a reduced row no
+    # longer than _DEPENDENT times its row would be roundoff, so it is zeroed
     rest = np.concatenate([np.arange(a.start), np.arange(a.stop, m)])
     C_rest = C[rest]
-    C_red, l_red, u_red, variables = _reduced_rows(C_rest, l[rest], u[rest], d_p, lb, ub, ns)
-    Z = ns.Z
+    C_r = C_rest @ Z
+    if rest.size:
+        C_r[np.linalg.norm(C_r, axis=1) <= _DEPENDENT * np.linalg.norm(C_rest, axis=1)] = 0.0
+    Cd = C_rest @ d_p
+    variables, Zb = ns.bounded(lb, ub)
+    low = np.full(variables.size, -np.inf) if lb is None else lb[variables]
+    high = np.full(variables.size, np.inf) if ub is None else ub[variables]
+    dv = d_p[variables]
+    C_red = np.vstack([C_r, Zb])
+    l_red = np.concatenate([l[rest] - Cd, low - dv])
+    u_red = np.concatenate([u[rest] - Cd, high - dv])
+
     Hd, HZ = H @ d_p, H @ Z
     H_r = Z.T @ HZ
     H_r = 0.5 * (H_r + H_r.T)
@@ -512,7 +503,7 @@ def _solve_reduced(H, q, C, l, u, y_guess, opts, lb, ub, ns):
     z[variables] = y_red[rest.size :]
     y[a] = ns.multipliers(Hd + HZ @ ws.x + q + C_rest.T @ y[rest] + z)
     X = d_p + np.asarray(ws.iterates) @ Z.T
-    X[0] = 0.0
+    X[0] = 0.0  # the iterates start at x = 0, as on the unreduced path
     return _result(x, y, z, ws, termination, X, H, q)
 
 
