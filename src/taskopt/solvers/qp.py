@@ -439,7 +439,6 @@ def solve_qp(
     u = np.asarray(u, dtype=float).ravel()
     m = C.shape[0]
     y_guess = None if y0 is None else np.asarray(y0, dtype=float).ravel()
-    bounded = lb is not None or ub is not None
 
     if not (np.isfinite(H).all() and np.isfinite(q).all() and np.isfinite(C).all()) or (
         np.isnan(l).any() or np.isnan(u).any()
@@ -448,6 +447,7 @@ def solve_qp(
     if _null_space is not None:
         return _solve_reduced(H, q, C, l, u, y_guess, opts, lb, ub, _null_space)
 
+    bounded = lb is not None or ub is not None
     if bounded:
         l, u = _append_bounds(l, lb, -np.inf, n), _append_bounds(u, ub, np.inf, n)
     H = 0.5 * (H + H.T)
