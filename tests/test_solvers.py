@@ -582,6 +582,29 @@ class TestSQPSolver:
         assert sol.success and sol.report.ok(1e-9)
         assert np.abs(sol["arm/0"][:, 0] - path[:, 0]).max() <= 1e-9
 
+    def test_contradictory_equality_rows_take_the_elastic_retry(self, monkeypatch):
+        # x0 + x1 = 1 and x0 + x1 = 2: the null-space QP finds the rows
+        # inconsistent, and the elastic QP, which keeps them as rows, makes
+        # the step.  Every sum in [1, 2] violates the rows by 1 in all, and
+        # the cost picks 1.
+        b = to.TaskBuilder(1)
+        x = b.add_decision_variables("x", 2)
+        b.add_cost_term("c", 1e-3 * to.sumsqr(x))
+        b.add_equality_constraint("one", x[0, 0] + x[1, 0], 1.0)
+        b.add_equality_constraint("two", x[0, 0] + x[1, 0], 2.0)
+        calls = []
+
+        def recording(*args, **kwargs):
+            res = solve_qp(*args, **kwargs)
+            calls.append((kwargs.get("_null_space") is not None, res.termination))
+            return res
+
+        monkeypatch.setattr(sqp_module, "solve_qp", recording)
+        sol = Solver(b.build()).setup("sqp").solve()
+        assert not sol.success
+        assert calls[:2] == [(True, "infeasible"), (False, "kkt-tolerance")]
+        assert sol.x == pytest.approx([0.5, 0.5], abs=1e-6)
+
     def test_rows_leaving_no_free_direction(self):
         # two independent rows on two variables: the null space is empty
         b = to.TaskBuilder(1)
