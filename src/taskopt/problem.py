@@ -3,8 +3,8 @@ and their derivatives given the stacked decision vector X and parameter vector P
 
 Transcription happens here: :class:`Problem` routes each constraint row
 into one of the four canonical partitions and builds every symbolic
-derivative of the build (cost gradient and Hessian, row Jacobians and the
-structure tests) from one shared memo, so none is built twice.
+derivative of the build (cost Hessian, residual Jacobian, row Jacobians
+and the structure tests) from one shared memo, so none is built twice.
 
 * ``k(X; P) = M(P) X + c(P) >= 0``   linear inequalities
 * ``a(X; P) = A(P) X + b(P) = 0``    linear equalities
@@ -16,14 +16,27 @@ Jacobian rows of structurally linear rows, and c and b are those rows with
 every decision leaf set to 0.  They are compiled over P alone, which
 rejects any decision leaf that slips in.
 
+The cost is split at build into weighted residuals and a rest,
+``f = sum c r**2 + f_rest`` (:func:`_least_squares`): every summand of the
+top-level sum of the form ``c * (r * r)``, with c a product of constants
+>= 0, adds a residual.  The residuals r and their Jacobian J are compiled
+in place of f and ∇f, and f_rest with its derivatives only when the cost
+has a rest.  :meth:`Problem.objective` is ``sum c r**2 + f_rest`` and
+:meth:`Problem.gradient` is ``2 J'(c r) + ∇f_rest``, with r and J from
+one call.  A solver's curvature comes from the same J: the private
+:meth:`Problem._gauss_newton` forms ``2 J'CJ`` block by block from the
+values the last gradient left, and :meth:`Problem._rest_hessian` gives
+∇²f_rest.  :meth:`Problem.hessian` stays the exact ∇²f.
+
 Derivatives are built and compiled from their structural nonzeros: each
 row (and each gradient entry, for the Hessian) is differentiated only by
 the decision leaves it depends on, so a horizon problem's derivatives grow
-with its nonzeros, not with rows x columns.  Every evaluator still returns
-a dense numpy array; the entries outside the structure are +0.0.  The
-connected components of the Hessian's structure are kept as
-:attr:`Problem.hessian_blocks`: a stage-wise cost has a block-diagonal
-Hessian, and a solver can then work on each block alone.
+with its nonzeros, not with rows x columns.  Every public evaluator still
+returns a dense numpy array; the entries outside the structure are +0.0.
+The connected components of the cost's curvature structure (∇²f, ``J'CJ``
+and ∇²f_rest) are kept as :attr:`Problem.hessian_blocks`: a stage-wise
+cost has a block-diagonal Hessian, and a solver can then work on each
+block alone.
 
 A k row whose M row has exactly one structural nonzero, a finite nonzero
 constant, bounds one variable: ``coef * X[col] + c >= 0``.  These rows are
@@ -35,6 +48,7 @@ than as rows of a dense M.  :meth:`Problem.lin_ineq` still returns all of M.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -93,26 +107,97 @@ _PARAMETER_ONLY = ("M", "c", "A", "b")
 _SPLITS = (("k", "M", "c", "g", "Jg"), ("a", "A", "b", "h", "Jh"))
 
 
+def _least_squares(f: Node) -> tuple[list, list, list]:
+    """``(residuals, weights, rest)`` of a scalar cost, ``f = sum w r**2 + sum c n``.
+
+    The summands of f's top-level sum are found through nested ``_ADD``
+    nodes.  A summand ``c * (r * r)``, an ``_MUL`` of one node with itself
+    reached through ``_MUL`` s by finite constants >= 0 (their product is
+    c) and ``_ADD`` s, adds the residual r with weight c.  Every other
+    summand, constants included, goes to ``rest`` as a ``(node, c)`` pair.
+    Residuals come in the order of the sum, left to right.
+    """
+    residuals, weights, rest = [], [], []
+
+    def scaled(c: float, k: Node) -> float | None:
+        if k.op != expr._CONST or not k.val >= 0.0:
+            return None
+        w = c * k.val
+        return w if math.isfinite(w) else None
+
+    stack = [(f, 1.0)]
+    while stack:
+        node, c = stack.pop()
+        if node.op == expr._ADD:
+            stack += [(node.b, c), (node.a, c)]
+        elif node.op != expr._MUL:
+            rest.append((node, c))
+        elif node.a is node.b:
+            residuals.append(node.a)
+            weights.append(c)
+        elif (w := scaled(c, node.a)) is not None:
+            stack.append((node.b, w))
+        elif (w := scaled(c, node.b)) is not None:
+            stack.append((node.a, w))
+        else:
+            rest.append((node, c))
+    return residuals, weights, rest
+
+
 def _transcribe(f: Expression, inequalities, equalities, x_leaves):
     """Symbolic pieces of the canonical program, row labels and whether f is quadratic.
 
-    Every derivative comes from one ``_diff`` memo: the gradient, Hessian,
-    row Jacobians and the structure tests of rows and cost share each
-    (node, leaf) derivative, so none is built twice.  The memo is released
-    on return, before anything is compiled.  Each derivative piece holds
-    only its structural nonzeros, as the entries
+    Every derivative comes from one ``_diff`` memo: the cost Hessian, the
+    residual Jacobian, the derivatives of the rest of the cost, the row
+    Jacobians and the structure tests of rows and cost share each (node,
+    leaf) derivative, so none is built twice.  The memo is released on
+    return, before anything is compiled.  Each derivative piece holds only
+    its structural nonzeros, as the entries
     :class:`~taskopt.expr.CompiledFunction` takes.
+
+    The cost is split by :func:`_least_squares`.  ``res`` holds the
+    residuals and ``res_jac`` the residuals followed by their Jacobian's
+    nonzeros, row by row, so one call gives both; ``f_rest``,
+    ``grad_rest`` and ``hess_rest`` are the rest of the cost and its
+    derivatives.  A cost with no residual is all rest, and its Hessian is
+    ``hess``; a rest without second derivatives has no ``hess_rest``.
+    The residual Jacobian's pattern and the weights are returned as
+    ``(rows, cols, weights)`` arrays.
     """
     memo: dict = {}
     n = len(x_leaves)
     x_set = frozenset(x_leaves)
     (grad,) = expr._jacobian(f.entries(), x_leaves, memo)
-    pieces = {
-        "f": f,
-        "grad": expr._sparse_entries([grad], n),  # a row; gradient() ravels it
-        "hess": expr._sparse_entries(expr._hessian(grad, x_leaves, memo), n),
-    }
+    hess = expr._hessian(grad, x_leaves, memo)
+    pieces = {"hess": expr._sparse_entries(hess, n)}
     quad_cost = expr._classify(f.entries(), x_set, memo) <= expr.StructureClass.QUADRATIC
+
+    residuals, weights, rest = _least_squares(f.entries()[0])
+    jac = expr._jacobian(residuals, x_leaves, memo)
+    m = len(residuals)
+    if m:
+        nodes = residuals + [node for row in jac for _, node in row]
+        pieces["res"] = ((m, 1), list(range(m)), residuals)
+        pieces["res_jac"] = ((1, len(nodes)), list(range(len(nodes))), nodes)
+    if rest and m:
+        f_rest = expr._ZERO
+        for node, c in rest:
+            f_rest = expr._add(f_rest, expr._mul(expr._const(c), node))
+        (grad_rest,) = expr._jacobian([f_rest], x_leaves, memo)
+        hess_rest = expr._hessian(grad_rest, x_leaves, memo)
+        if any(hess_rest):
+            pieces["hess_rest"] = expr._sparse_entries(hess_rest, n)
+    elif rest:  # the whole cost is rest
+        f_rest, grad_rest = f.entries()[0], grad
+    if rest:
+        pieces["f_rest"] = ((1, 1), [0], [f_rest])
+        pieces["grad_rest"] = expr._sparse_entries([grad_rest], n)
+    pattern = (
+        np.array([i for i, row in enumerate(jac) for _ in row], dtype=np.intp),
+        np.array([j for row in jac for j, _ in row], dtype=np.intp),
+        np.array(weights, dtype=float),
+    )
+
     labels: dict[str, list[str]] = {"k": [], "a": [], "g": [], "h": []}
     for (k, M, c, g, Jg), rows in zip(_SPLITS, (inequalities, equalities)):
         stack = np.array([node for _, node in rows], dtype=object)
@@ -128,7 +213,7 @@ def _transcribe(f: Expression, inequalities, equalities, x_leaves):
         if nonlin_rows:
             pieces[g] = Expression(stack[nonlin_rows])
             pieces[Jg] = expr._sparse_entries([J[i] for i in nonlin_rows], n)
-    return pieces, labels, quad_cost
+    return pieces, labels, quad_cost, pattern
 
 
 def _bound_rows(entries, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -186,6 +271,39 @@ def _hessian_blocks(positions, n: int) -> tuple[np.ndarray, ...]:
     return tuple(groups)
 
 
+def _gauss_newton_pairs(pattern, blocks, n: int):
+    """How to sum ``2 J'CJ`` of a residual Jacobian into the blocks' values.
+
+    ``pattern`` is ``(rows, cols, weights)`` of the Jacobian's nonzeros,
+    row-major, and ``blocks`` is laid out as :attr:`Problem.hessian_blocks`,
+    with every row's columns inside one block.  Each pair of nonzeros of a
+    row adds ``2 c J[r, a] J[r, b]`` at entry (a, b) of that row's block.
+    Returns ``(first, second, scale, target, groups)``: the pairs' Jacobian
+    positions, ``2 c`` per pair, and each pair's flat position in the
+    block groups laid end to end, where a group of k blocks of size b
+    takes ``k * b * b`` values as ``(block, row, col)``; ``groups`` holds
+    the ``(start, stop, (k, b, b))`` of each group in that layout.
+    """
+    rows, cols, weights = pattern
+    start = np.empty(n, dtype=np.intp)  # flat position of each column's block row 0
+    slot = np.empty(n, dtype=np.intp)  # the column's place in its block
+    width = np.empty(n, dtype=np.intp)
+    groups, total = [], 0
+    for group in blocks:
+        k, b = group.shape
+        start[group] = total + b * b * np.arange(k)[:, None]
+        slot[group] = np.arange(b)
+        width[group] = b
+        groups.append((total, total + k * b * b, (k, b, b)))
+        total += k * b * b
+    per_row = np.split(np.arange(rows.size), np.flatnonzero(np.diff(rows)) + 1)
+    first = np.concatenate([np.repeat(at, at.size) for at in per_row])
+    second = np.concatenate([np.tile(at, at.size) for at in per_row])
+    a, b = cols[first], cols[second]
+    target = start[a] + slot[a] * width[a] + slot[b]
+    return first, second, 2.0 * weights[rows[first]], target, tuple(groups)
+
+
 class Problem:
     """Compiled canonical problem over flat vectors X (decision) and P (parameter).
 
@@ -194,8 +312,9 @@ class Problem:
     linear partition (k or a) when ``classify(row, X) <= LINEAR`` and to its
     nonlinear one (g or h) otherwise; ``labels`` lists each partition's row
     labels in row order.  ``hessian_blocks`` partitions the columns of X
-    into the connected components of the cost Hessian's structure (see
-    :func:`_hessian_blocks`): no entry of ∇²f couples two blocks.  The
+    into the connected components of the cost's curvature structure (see
+    :func:`_hessian_blocks`): no entry of ∇²f, of ``J'CJ`` or of ∇²f_rest
+    couples two blocks.  The
     private ``_bounds`` holds the k rows that bound one variable (see
     :func:`_bound_rows`), fixed at build.
     """
@@ -215,18 +334,38 @@ class Problem:
         if not objective_expr.is_scalar():
             raise ValueError("objective must be scalar")
 
-        symbolic, self.labels, quad_cost = _transcribe(
+        symbolic, self.labels, quad_cost, pattern = _transcribe(
             objective_expr, inequalities, equalities, decision.leaves()
         )
-        self._hessian_blocks = _hessian_blocks(symbolic["hess"][1], self.n_x)
+        # the components of ∇²f's pattern, joined wherever a residual or
+        # the rest of the cost couples two columns, so that 2 J'CJ and
+        # ∇²f_rest lie inside the blocks even where ∇²f cancels to zero
+        rows, cols, _ = pattern
+        ends = np.searchsorted(rows, rows, side="left")  # each row's first nonzero
+        couplings = (cols[ends] * self.n_x + cols).tolist()
+        rest_positions = symbolic["hess_rest"][1] if "hess_rest" in symbolic else []
+        self._hessian_blocks = _hessian_blocks(
+            symbolic["hess"][1] + couplings + rest_positions, self.n_x
+        )
+        self._weights = pattern[2]
+        self._jac_pattern = rows, cols
+        self._pairs = _gauss_newton_pairs(pattern, self._hessian_blocks, self.n_x)
         self._bounds = _bound_rows(symbolic.get("M", ((0, self.n_x), [], [])), self.n_x)
+        curved = bool(symbolic["hess"][1])
         p_layout = ("parameter", parameters.layout())
         xp = (("variable", decision.layout()), p_layout)
         fns = {}
         for name in list(symbolic):  # each derivative graph is released once compiled
             layouts = (p_layout,) if name in _PARAMETER_ONLY else xp
             fns[name] = CompiledFunction(symbolic.pop(name), layouts)
-        self._f, self._grad, self._hess = fns["f"], fns["grad"], fns["hess"]
+        self._hess = fns["hess"]
+        self._res, self._res_jac = fns.get("res"), fns.get("res_jac")
+        self._f_rest, self._grad_rest = fns.get("f_rest"), fns.get("grad_rest")
+        self._hess_rest = fns.get("hess_rest")
+        if self._res is None and curved:  # the whole cost is rest
+            self._hess_rest = self._hess
+        # (bytes of X and P, residuals and Jacobian values) of the last gradient
+        self._last_res_jac = (None, None)
         self._M, self._c, self._A, self._b = (fns.get(k) for k in _PARAMETER_ONLY)
         self._g, self._Jg, self._h, self._Jh = (fns.get(k) for k in ("g", "Jg", "h", "Jh"))
         self.n_k, self.n_a, self.n_g, self.n_h = (len(self.labels[k]) for k in "kagh")
@@ -281,16 +420,65 @@ class Problem:
         return P
 
     def objective(self, X, P=()) -> float:
+        """``sum(w r**2) + f_rest``: the residuals alone are evaluated, not their Jacobian."""
         X, P = self._check(X, P)
-        return float(self._f(X, P)[0, 0])
+        f = float(self._f_rest(X, P)[0, 0]) if self._f_rest is not None else 0.0
+        if self._res is not None:
+            r = self._res(X, P).ravel()
+            f += float(self._weights @ (r * r))
+        return f
 
     def gradient(self, X, P=()) -> np.ndarray:
+        """``2 J'(w r) + ∇f_rest``, with the residuals and J from one call.
+
+        The residual and Jacobian values are kept for :meth:`_gauss_newton`
+        at the same point.  A NaN among them (an arithmetic fault gives all
+        NaN) makes the whole gradient NaN.
+        """
         X, P = self._check(X, P)
-        return self._grad(X, P).ravel()
+        if self._res_jac is None:
+            return self._grad_rest(X, P).ravel()
+        values = self._res_jac(X, P).ravel()
+        self._last_res_jac = (X.tobytes() + P.tobytes(), values)
+        rows, cols = self._jac_pattern
+        m = self._weights.size
+        wr = (self._weights * values[:m])[rows]
+        g = 2.0 * np.bincount(cols, values[m:] * wr, minlength=self.n_x)
+        if self._grad_rest is not None:
+            g += self._grad_rest(X, P).ravel()
+        if np.isnan(values).any():
+            g[:] = np.nan
+        return g
 
     def hessian(self, X, P=()) -> np.ndarray:
+        """The exact ∇²f."""
         X, P = self._check(X, P)
         return self._hess(X, P)
+
+    def _gauss_newton(self, X, P) -> tuple[np.ndarray, ...]:
+        """``2 J'CJ`` of the residuals, one ``(k, b, b)`` array per group of :attr:`hessian_blocks`.
+
+        Reads the Jacobian kept by the last :meth:`gradient` when that was
+        at (X, P), and evaluates it otherwise.
+        """
+        X, P = self._check(X, P)
+        first, second, scale, target, groups = self._pairs
+        J = np.zeros(0)
+        if self._res_jac is not None:
+            key, values = self._last_res_jac
+            if key != X.tobytes() + P.tobytes():
+                values = self._res_jac(X, P).ravel()
+            J = values[self._weights.size :]
+        size = groups[-1][1] if groups else 0
+        flat = np.bincount(target, scale * (J[first] * J[second]), minlength=size)
+        return tuple(flat[start:stop].reshape(shape) for start, stop, shape in groups)
+
+    def _rest_hessian(self, X, P) -> np.ndarray | None:
+        """∇²f_rest, or None when the rest of the cost has no second derivative."""
+        if self._hess_rest is None:
+            return None
+        X, P = self._check(X, P)
+        return self._hess_rest(X, P)
 
     def lin_ineq(self, P=()) -> tuple[np.ndarray, np.ndarray]:
         """(M, c) with k = M X + c >= 0."""

@@ -2,16 +2,22 @@
 
 Each iteration linearizes the constraints, solves the QP subproblem
 exactly with the dual active-set solver, warm-started from the previous
-iteration's multipliers, and backtracks on the l1 merit function.  The
-Lagrangian Hessian is modeled by damped BFGS, seeded from the exact cost
-Hessian projected to be positive definite (for sum-of-squares costs near a
-solution this coincides with a Gauss-Newton seed), so every subproblem is
-strictly convex.  The projection works on the diagonal blocks of the cost
-Hessian's structure (``Problem.hessian_blocks``), one small
-eigendecomposition per block, so for a stage-wise cost it grows linearly
-with the horizon rather than with the cube of n.  Only a subproblem the QP
-certifies infeasible is solved again, with elastic slacks weighted by 1e3
-times the current penalty.
+iteration's multipliers, and backtracks on the l1 merit function.
+
+The QP's curvature B is the Gauss-Newton matrix of the cost's residuals.
+:class:`~taskopt.problem.Problem` splits a least-squares cost into
+weighted residuals, ``f = sum c r**2 + f_rest``, and hands back
+``2 J'CJ`` block by block on :attr:`Problem.hessian_blocks`; it is
+positive semidefinite by construction, as in constrained Gauss-Newton
+(Bock 1983) and the least-squares MPC costs of acados.  The rest of the
+cost, when it has second derivatives, adds its exact Hessian with the
+spectrum of each block clipped from below (:func:`_psd_projection`).  B is
+formed only where a QP follows, at a point whose KKT test failed, from the
+residual Jacobian the gradient there already evaluated.  A B that is
+singular off the null space of the equality rows goes through the QP's
+proximal passes.  The curvature of the constraint rows is not modelled.
+Only a subproblem the QP certifies infeasible is solved again, with
+elastic slacks weighted by 1e3 times the current penalty.
 
 The linear equality rows A depend only on the parameters, so each solve
 checks that A has the bytes of the last one and otherwise factors it
@@ -24,21 +30,19 @@ bounds on the step, not as rows: a point's values of them are one gather,
 ``coef * x[col] + c``, and the QP gets ``lb``/``ub`` on d from them, the
 tightest where a variable has several rows on one side.  A bound
 multiplier goes back to the row that set it, divided by its coefficient,
-and enters the merit penalty, the KKT test and the BFGS Lagrangian
-gradient through one scatter-add over the bound columns.  The elastic
-retry alone states every k row as a row, with its own slack.
+and enters the merit penalty and the KKT test through one scatter-add
+over the bound columns.  The elastic retry alone states every k row as a
+row, with its own slack.
 
 Each point is evaluated once: the line search computes f and the rows at
 every trial point, and the loop computes the derivatives at the accepted
-one, then carries all of them into the next iteration.  The BFGS update
-of an accepted step is made only once the KKT test at its end fails, so a
-step that converges pays for none; the values at the last point are
-handed back as ``last_point`` for the solution's report.
+one, then carries all of them into the next iteration; the values at the
+last point are handed back as ``last_point`` for the solution's report.
 
 The same loop serves two tags.  ``sqp`` accepts every problem;
-``bfgs`` accepts only unconstrained ones, where the subproblem has no rows,
-so each step is a damped-BFGS quasi-Newton step with Armijo backtracking
-on f.
+``bfgs`` keeps its name and accepts only unconstrained ones, where the
+subproblem has no rows, so each step minimises the model above with
+Armijo backtracking on f; it runs no BFGS update.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ from ..problem import ProblemClass
 from .base import SolverAdapter, SolverOptions, Stats
 from .qp import _NullSpace, _qp_rows, solve_qp
 
-__all__ = ["SQPSolver", "QuasiNewtonSolver", "damped_bfgs_update"]
+__all__ = ["SQPSolver", "QuasiNewtonSolver"]
 
 _MIN_EIGENVALUE = 1e-6
 _ELASTIC_WEIGHT = 1e3
@@ -76,9 +80,8 @@ def _psd_projection(H: np.ndarray, blocks, relative_floor: float = 1e-3) -> np.n
     the whole matrix, to the byte.
 
     The default floor scales with the largest eigenvalue of H so flat cost
-    directions still give the QP subproblem workable curvature early on;
-    a zero relative floor keeps the Hessian nearly exact for endgame
-    (Newton-quality) steps.
+    directions still give the QP subproblem workable curvature; a zero
+    relative floor leaves only the absolute one, ``_MIN_EIGENVALUE``.
     """
     n = H.shape[0]
     if not np.isfinite(H).all():
@@ -101,37 +104,6 @@ def _psd_projection(H: np.ndarray, blocks, relative_floor: float = 1e-3) -> np.n
         w = np.maximum(w, floor)
         B.put(at, w if V is None else (V * w[..., None, :]) @ V.transpose(0, 2, 1))
     return B
-
-
-def _damped_pair(B: np.ndarray, s: np.ndarray, y: np.ndarray):
-    """``(Bs, sBs, y, sy)`` of Powell's damped BFGS pair, or None when even
-    the damped curvature is unusable."""
-    Bs = B @ s
-    sBs = float(s @ Bs)
-    sy = float(s @ y)
-    if not np.isfinite(sBs) or not np.isfinite(sy) or sBs <= 1e-16:
-        return None
-    if sy < 0.2 * sBs:
-        theta = 0.8 * sBs / (sBs - sy)
-        y = theta * y + (1.0 - theta) * Bs
-        sy = float(s @ y)
-    if sy <= 1e-14:
-        return None
-    return Bs, sBs, y, sy
-
-
-def damped_bfgs_update(B: np.ndarray, s: np.ndarray, y: np.ndarray):
-    """Powell-damped BFGS update; returns (B_new, ok).
-
-    ``ok`` is False when even the damped curvature is unusable, in which
-    case ``B`` is returned unchanged.
-    """
-    pair = _damped_pair(B, s, y)
-    if pair is None:
-        return B, False
-    Bs, sBs, y, sy = pair
-    B_new = B - np.outer(Bs, Bs) / sBs + np.outer(y, y) / sy
-    return 0.5 * (B_new + B_new.T), True
 
 
 def _kkt_residual(gL, r_in, r_eq, lam) -> float:
@@ -256,7 +228,7 @@ class SQPSolver(SolverAdapter):
         self.problem = problem
         self.options = options
         self._stats = Stats()
-        # _block_positions of the cost Hessian and the _BoundRows, on the first solve
+        # _block_positions of Problem.hessian_blocks and the _BoundRows, on the first solve
         self._blocks = None
         self._bound_rows = None
         # the _NullSpace of the a rows, built on the first solve and again
@@ -282,6 +254,16 @@ class SQPSolver(SolverAdapter):
         C_in = np.vstack([M, prob.nonlin_ineq_jacobian(x, params)]) if prob.n_g else M
         C_eq = np.vstack([A, prob.nonlin_eq_jacobian(x, params)]) if prob.n_h else A
         return grad, C_in, C_eq
+
+    def _curvature(self, x, params):
+        """The QP's B at x: ∇²f_rest projected per block, when the cost has
+        one, plus ``2 J'CJ`` of the residuals, put block by block."""
+        prob, blocks = self.problem, self._blocks
+        H_rest = prob._rest_hessian(x, params)
+        B = np.zeros((prob.n_x, prob.n_x)) if H_rest is None else _psd_projection(H_rest, blocks)
+        for at, values in zip(blocks, prob._gauss_newton(x, params)):
+            B.put(at, B.take(at) + values)
+        return B
 
     # subproblem ----------------------------------------------------------
     def _subproblem(self, B, grad, C_in, r_in, C_eq, r_eq, y0, mu):
@@ -354,7 +336,7 @@ class SQPSolver(SolverAdapter):
         if self._blocks is None:
             self._blocks = _block_positions(prob.hessian_blocks, n)
             self._bound_rows = _BoundRows(prob._bounds, prob.n_k, prob.n_g, m_eq)
-        blocks, rows = self._blocks, self._bound_rows
+        rows = self._bound_rows
         x = np.asarray(x0, dtype=float).copy()
 
         M, c = prob._lin_ineq_general(params)
@@ -370,14 +352,13 @@ class SQPSolver(SolverAdapter):
                 return np.inf
             return f_x + mu * violation(r_in_x, r_eq_x)
 
-        B = _psd_projection(prob.hessian(x, params), blocks)
         lam = np.zeros(m_in)  # inequality multipliers, >= 0
         nu = np.zeros(m_eq)  # equality multipliers
         mu = 1.0
 
         # these six always hold the values at x: the line search supplies
         # f and the rows at the accepted point, and the derivatives there
-        # are evaluated once, for the KKT test and the BFGS update
+        # are evaluated once, for the KKT test and, when it fails, the next QP
         f, r_in, r_eq = self._values(x, params, M, c, A, b)
         grad, C_in, C_eq = self._derivatives(x, params, M, A)
         obj_hist = [f]
@@ -386,21 +367,6 @@ class SQPSolver(SolverAdapter):
         self.termination = "max-iterations"
 
         y_prev = np.zeros(m_in + m_eq)
-        ls_failures = 0
-        bad_updates = 0
-        # the BFGS update of the last accepted step, (s, derivatives at its
-        # start), applied only once the KKT test at its end fails
-        pending = None
-
-        def count_update(ok):
-            """Track unusable updates; True when two in a row call for a reset of B."""
-            nonlocal bad_updates
-            bad_updates = 0 if ok else bad_updates + 1
-            if bad_updates >= 2:
-                bad_updates = 0
-                return True
-            return False
-
         it = 0
         for it in range(1, opts.max_iterations + 1):
             finite = (
@@ -424,14 +390,7 @@ class SQPSolver(SolverAdapter):
                 it -= 1
                 break
 
-            if pending is not None:
-                # BFGS on the Lagrangian gradient with the fresh multipliers
-                s, old = pending
-                pending = None
-                B, ok = damped_bfgs_update(B, s, gL - rows.lagrangian_gradient(*old, lam, nu))
-                if count_update(ok):
-                    B = np.eye(n)
-
+            B = self._curvature(x, params)
             d, y, elastic = self._subproblem(B, grad, C_in, r_in, C_eq, r_eq, y_prev, mu)
             if not np.isfinite(d).all():
                 self.termination = "nan"
@@ -470,27 +429,15 @@ class SQPSolver(SolverAdapter):
                 merit_new = merit(*trial)
 
             if not accepted and not (np.isfinite(merit_new) and merit_new < merit0):
-                # no step length makes progress: swap in the (nearly) exact
-                # cost Hessian once, then declare a stall at the best point
-                ls_failures += 1
-                if ls_failures < 2:
-                    B = _psd_projection(prob.hessian(x, params), blocks, relative_floor=0.0)
-                    obj_hist.append(f)
-                    step_hist.append(0.0)
-                    continue
-                self.converged = kkt <= opts.constraint_tolerance
+                # no step length makes progress: a stall at the best point
                 self.termination = "line-search-failure"
                 obj_hist.append(f)
                 step_hist.append(0.0)
                 break
-            ls_failures = 0
 
             x_new = x + alpha * d
-            s = x_new - x
-            pending = (s, (grad, C_in, C_eq))
             grad, C_in, C_eq = self._derivatives(x_new, params, M, A)
-
-            step = float(np.abs(s).max(initial=0.0))
+            step = float(np.abs(x_new - x).max(initial=0.0))
             x = x_new
             f, r_in, r_eq = trial
             obj_hist.append(f)
@@ -499,21 +446,7 @@ class SQPSolver(SolverAdapter):
             if step <= opts.step_tolerance:
                 # the iteration is stationary; certify the final point
                 gL = rows.lagrangian_gradient(grad, C_in, C_eq, lam, nu)
-                kkt = _kkt_residual(gL, r_in, r_eq, lam)
-                if kkt > opts.constraint_tolerance and ls_failures < 2:
-                    # one endgame retry with near-exact curvature, in place
-                    # of the pending update; its curvature test still counts
-                    # toward the reset, as when the update was made first
-                    old = pending[1]
-                    pending = None
-                    count_update(
-                        _damped_pair(B, s, gL - rows.lagrangian_gradient(*old, lam, nu))
-                        is not None
-                    )
-                    ls_failures += 1
-                    B = _psd_projection(prob.hessian(x, params), blocks, relative_floor=0.0)
-                    continue
-                self.converged = kkt <= opts.constraint_tolerance
+                self.converged = _kkt_residual(gL, r_in, r_eq, lam) <= opts.constraint_tolerance
                 self.termination = "step-tolerance"
                 break
 
