@@ -105,17 +105,21 @@ _PARAMETER_ONLY = ("M", "c", "A", "b")
 # Per row stack: its linear partition and that partition's (M, c), then its
 # nonlinear partition and that partition's Jacobian.
 _SPLITS = (("k", "M", "c", "g", "Jg"), ("a", "A", "b", "h", "Jh"))
+# numpy arithmetic on evaluated values follows Python floats, as the
+# compiled tapes do: an overflow gives inf and inf - inf NaN, with no warning
+_float_rules = np.errstate(over="ignore", invalid="ignore")
 
 
-def _least_squares(f: Node) -> tuple[list, list, list]:
+def _least_squares(f: Node, x_set: frozenset) -> tuple[list, list, list]:
     """``(residuals, weights, rest)`` of a scalar cost, ``f = sum w r**2 + sum c n``.
 
     The summands of f's top-level sum are found through nested ``_ADD``
     nodes.  A summand ``c * (r * r)``, an ``_MUL`` of one node with itself
     reached through ``_MUL`` s by finite constants >= 0 (their product is
-    c) and ``_ADD`` s, adds the residual r with weight c.  Every other
-    summand, constants included, goes to ``rest`` as a ``(node, c)`` pair.
-    Residuals come in the order of the sum, left to right.
+    c) and ``_ADD`` s, adds the residual r with weight c when r depends on
+    a leaf of ``x_set``.  Every other summand, constants included, goes to
+    ``rest`` as a ``(node, c)`` pair.  Residuals come in the order of the
+    sum, left to right.
     """
     residuals, weights, rest = [], [], []
 
@@ -132,7 +136,7 @@ def _least_squares(f: Node) -> tuple[list, list, list]:
             stack += [(node.b, c), (node.a, c)]
         elif node.op != expr._MUL:
             rest.append((node, c))
-        elif node.a is node.b:
+        elif node.a is node.b and expr._deps(node.a) & x_set:
             residuals.append(node.a)
             weights.append(c)
         elif (w := scaled(c, node.a)) is not None:
@@ -172,7 +176,7 @@ def _transcribe(f: Expression, inequalities, equalities, x_leaves):
     pieces = {"hess": expr._sparse_entries(hess, n)}
     quad_cost = expr._classify(f.entries(), x_set, memo) <= expr.StructureClass.QUADRATIC
 
-    residuals, weights, rest = _least_squares(f.entries()[0])
+    residuals, weights, rest = _least_squares(f.entries()[0], x_set)
     jac = expr._jacobian(residuals, x_leaves, memo)
     m = len(residuals)
     if m:
@@ -419,6 +423,7 @@ class Problem:
             raise ValueError(f"P has length {P.size}, expected {self.n_p}")
         return P
 
+    @_float_rules
     def objective(self, X, P=()) -> float:
         """``sum(w r**2) + f_rest``: the residuals alone are evaluated, not their Jacobian."""
         X, P = self._check(X, P)
@@ -428,12 +433,13 @@ class Problem:
             f += float(self._weights @ (r * r))
         return f
 
+    @_float_rules
     def gradient(self, X, P=()) -> np.ndarray:
         """``2 J'(w r) + ∇f_rest``, with the residuals and J from one call.
 
         The residual and Jacobian values are kept for :meth:`_gauss_newton`
-        at the same point.  A NaN among them (an arithmetic fault gives all
-        NaN) makes the whole gradient NaN.
+        at the same point.  An arithmetic fault makes all of them NaN, and
+        then the whole gradient is NaN, as the fault rule asks.
         """
         X, P = self._check(X, P)
         if self._res_jac is None:
@@ -446,7 +452,7 @@ class Problem:
         g = 2.0 * np.bincount(cols, values[m:] * wr, minlength=self.n_x)
         if self._grad_rest is not None:
             g += self._grad_rest(X, P).ravel()
-        if np.isnan(values).any():
+        if np.isnan(values).all():
             g[:] = np.nan
         return g
 

@@ -16,6 +16,7 @@ from taskopt.cli import (
     run_ik,
     run_info,
     run_plan,
+    run_track,
 )
 
 
@@ -116,6 +117,11 @@ class TestPlanCommand:
         assert res.success
         assert res.report.equality_residual <= 1e-8
 
+    def test_default_plan_takes_few_iterations(self):
+        res = run_plan(dict(_DEFAULTS["plan"]))
+        assert res.success and res.termination == "kkt-tolerance"
+        assert res.iterations < 90
+
     def test_feasibility_of_returned_plan(self, planar2r):
         cfg = dict(_DEFAULTS["plan"])
         res = run_plan(cfg)
@@ -137,6 +143,20 @@ class TestTrackCommand:
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "waypoint,position_error,solve_ms,iterations"
         assert len(lines) == 9
+
+    def test_arm6_track_completes(self):
+        cfg = dict(_DEFAULTS["track"])
+        cfg.update(
+            urdf="arm6",
+            waypoints=30,
+            center=[0.5, 0.2, 0.4],
+            amplitude_a=0.1,
+            amplitude_b=0.05,
+            initial_seed=[0.0, 0.6, 0.8, 0.0, 0.5, 0.0],
+        )
+        res = run_track(cfg)
+        assert res.success and res.failed_waypoint is None
+        assert res.errors.size == 30
 
     @pytest.mark.parametrize("flag", ["--T", "--dt"])
     def test_horizon_flags_are_rejected(self, flag):

@@ -177,6 +177,85 @@ class TestEvaluators:
         assert np.array_equal(p.constraints(X, P1).g, p.constraints(X, P2).g)
 
 
+class TestLeastSquaresSplit:
+    @staticmethod
+    def _task():
+        """x (3) and p (2): weighted sums of squares nested in sums, and four terms that are not."""
+        b = to.TaskBuilder(1)
+        x = b.add_decision_variables("x", 3)
+        p = b.add_parameter("p", 2)
+        r = to.vertcat(to.sin(x[0, 0]) - p[0, 0], x[1, 0] * x[2, 0] - 1.0)
+        terms = {
+            "plain": to.sumsqr(r),
+            "nested": 2.0 * (to.sumsqr(x[2, 0] + p[1, 0]) + 0.5 * to.sumsqr(x[0, 0])),
+            "power": x[1, 0] ** 2,  # not an _MUL of one node with itself
+            "parameter_weight": p[1, 0] * to.sumsqr(x[1, 0]),
+            "negative_weight": -0.25 * to.sumsqr(x[0, 0] - x[1, 0]),
+            "constant": to.constant(3.0),
+        }
+        for name, term in terms.items():
+            b.add_cost_term(name, term)
+        cost = sum(terms.values(), to.constant(0.0))
+        return b, x, p, cost
+
+    def test_weighted_squares_become_residuals(self):
+        b, x, p, _ = self._task()
+        prob = b.build()
+        # plain (2), then nested's two residuals with weights 2 and 2 * 0.5
+        assert prob._weights.tolist() == [1.0, 1.0, 2.0, 1.0]
+        rows, cols = prob._jac_pattern
+        assert rows.tolist() == [0, 1, 1, 2, 3] and cols.tolist() == [0, 1, 2, 2, 0]
+        assert prob._f_rest is not None and prob._hess_rest is not None
+
+    def test_objective_and_gradient_match_the_whole_cost(self):
+        b, x, p, cost = self._task()
+        prob = b.build()
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            X, P = rng.normal(size=3), rng.normal(size=2)
+            bindings = {"x": X, "p": P}
+            want = to.evaluate(cost, bindings)[0, 0]
+            assert prob.objective(X, P) == pytest.approx(want, rel=1e-12, abs=1e-12)
+            grad = to.evaluate(to.gradient(cost, x), bindings).ravel()
+            assert np.abs(prob.gradient(X, P) - grad).max() <= 1e-12 * max(1.0, np.abs(grad).max())
+
+    def test_gauss_newton_blocks_are_twice_jtcj(self):
+        b, x, p, _ = self._task()
+        prob = b.build()
+        X, P = np.array([0.3, -0.7, 1.1]), np.array([0.2, -0.4])
+        r = to.vertcat(to.sin(x[0, 0]) - p[0, 0], x[1, 0] * x[2, 0] - 1.0, x[2, 0] + p[1, 0], x[0, 0])
+        J = to.evaluate(to.jacobian(r, x), {"x": X, "p": P})
+        want = 2.0 * J.T @ np.diag(prob._weights) @ J
+        prob.gradient(X, P)
+        B = np.zeros((3, 3))
+        for group, values in zip(prob.hessian_blocks, prob._gauss_newton(X, P)):
+            for cols, block in zip(group, values):
+                B[np.ix_(cols, cols)] = block
+        assert np.abs(B - want).max() <= 1e-12 * np.abs(want).max()
+        assert B.tobytes() == B.T.copy().tobytes()
+
+    def test_a_faulting_residual_gives_nan(self):
+        b = to.TaskBuilder(1)
+        x = b.add_decision_variables("x", 2)
+        b.add_cost_term("c", to.sumsqr(1.0 / x[0, 0] - 1.0) + 1e-3 * to.sumsqr(x[0, 0]))
+        prob = b.build()
+        assert prob._f_rest is None  # x1 is in no residual: its gradient entry has no J term
+        assert np.isnan(prob.objective([0.0, 0.5]))
+        assert np.isnan(prob.gradient([0.0, 0.5])).all()
+        assert np.isfinite(prob.gradient([2.0, 0.5])).all()
+
+    def test_cost_without_squares_is_all_rest(self):
+        b = to.TaskBuilder(1)
+        x = b.add_decision_variables("x", 2)
+        b.add_cost_term("c", to.cos(x[0, 0]) * x[1, 0])
+        prob = b.build()
+        assert prob._res is None and prob._hess_rest is prob._hess
+        X = np.array([0.4, -1.3])
+        assert prob.gradient(X).tobytes() == to.evaluate(
+            to.gradient(to.cos(x[0, 0]) * x[1, 0], x), {"x": X}
+        ).ravel().tobytes()
+
+
 class TestFeasibility:
     def test_feasible_point(self):
         rng = np.random.default_rng(5)

@@ -468,6 +468,84 @@ class TestSparseDerivatives:
             assert H[upper].tobytes() == full[upper].tobytes()
 
 
+@st.composite
+def weighted_sums(draw):
+    """A TaskBuilder whose one cost term nests weighted squares of random DAG nodes in sums.
+
+    Beside the squares it holds the terms the least-squares split leaves
+    in the rest: constants, products that are not squares, and squares
+    weighted by a parameter or by a negative constant.
+    """
+    b = to.TaskBuilder(T=1)
+    x = b.add_decision_variables("x", 3)
+    p = b.add_parameter("p", 2)
+    pool = [x._n[i, 0] for i in range(3)] + [p._n[j, 0] for j in range(2)]
+    pool += [_raw_const(v) for v in draw(st.lists(_values, min_size=1, max_size=3))]
+    grown = _grow(draw, list(pool), max_ops=6)
+    leaves = frozenset(pool[:3])
+    nodes = st.sampled_from([n for n in grown if expr._deps(n) & leaves])
+
+    def term(depth):
+        # half the kinds add residuals, directly or below a weight or a sum
+        kinds = ("square", "weighted", "sum", "square", "constant", "product", "parameter", "negative")
+        kind = draw(st.sampled_from(kinds if depth < 3 else ("square", "constant", "product")))
+        if kind == "square":
+            r = draw(nodes)
+            return expr._mul(r, r)
+        if kind == "weighted":
+            return expr._mul(expr._const(draw(st.sampled_from((1e-3, 0.5, 2.0)))), term(depth + 1))
+        if kind == "sum":
+            return expr._add(term(depth + 1), term(depth + 1))
+        if kind == "constant":
+            return expr._const(draw(_values))
+        if kind == "product":
+            return expr._mul(draw(nodes), expr._sin(draw(nodes)))
+        r = draw(nodes)
+        weight = p._n[0, 0] if kind == "parameter" else expr._const(-0.5)
+        return expr._mul(weight, expr._mul(r, r))
+
+    total = expr._ZERO
+    for _ in range(draw(st.integers(1, 4))):
+        total = expr._add(total, term(0))
+    f = Expression(np.array([[total]], dtype=object))
+    b.add_cost_term("f", f)
+    return b, x, f
+
+
+class TestLeastSquaresSplit:
+    @_PROPERTY
+    @given(
+        task=weighted_sums(),
+        xv=st.lists(_values, min_size=3, max_size=3),
+        pv=st.lists(_values, min_size=2, max_size=2),
+    )
+    def test_objective_and_gradient_match_the_whole_cost(self, task, xv, pv):
+        b, x, f = task
+        prob = b.build()
+        X, P = np.array(xv), np.array(pv)
+        bindings = {"x": X, "p": P}
+        want_f = to.evaluate(f, bindings)[0, 0]
+        want_g = to.evaluate(to.gradient(f, x), bindings).ravel()
+        got_f, got_g = prob.objective(X, P), prob.gradient(X, P)
+        event(f"{prob._weights.size} residuals, rest {prob._f_rest is not None}")
+
+        # roundoff is relative to the two parts, which may cancel in the sum
+        rest_f = float(prob._f_rest(X, P)[0, 0]) if prob._f_rest is not None else 0.0
+        rest_g = prob._grad_rest(X, P).ravel() if prob._grad_rest is not None else np.zeros(3)
+        if np.isfinite(want_f):
+            scale = max(1.0, abs(got_f - rest_f) + abs(rest_f))
+            assert abs(got_f - want_f) <= 1e-12 * scale
+        else:
+            assert np.array_equal([got_f], [want_f], equal_nan=True)
+        if np.isfinite(want_g).all():
+            scale = max(1.0, np.abs(got_g - rest_g).max() + np.abs(rest_g).max())
+            assert np.abs(got_g - want_g).max() <= 1e-12 * scale
+        elif np.isnan(want_g).all():
+            # an arithmetic fault in any entry makes the whole output NaN
+            event("fault")
+            assert np.isnan(got_g).all()
+
+
 def _mixed_qp(rng, n, m_in, m_eq):
     """A strictly convex QP with inequality and equality rows and a known feasible point."""
     G = rng.normal(size=(n, n))

@@ -438,8 +438,12 @@ class TestSQPSolver:
         assert y == pytest.approx(y_star, rel=1e-12)
 
     def test_seed_hessian_decomposed_per_block(self, monkeypatch, horizon_task):
+        # a per-stage term that is no sum of squares, so the rest of the
+        # cost has a Hessian for SQP to project
         T = 6
         robot, b = horizon_task(T)
+        for t in range(T):
+            b.add_cost_term(f"wobble{t}", 1e-3 * to.cos(b.get_model_state("arm", t)[0, 0]))
         p = b.build()
         largest = max(group.shape[1] for group in p.hessian_blocks)
         assert largest < p.n_x
@@ -457,6 +461,48 @@ class TestSQPSolver:
         s.reset_parameters({"ref": ref, "qc": path[:, 0]})
         assert s.solve().success
         assert sizes and max(sizes) <= largest, sizes
+
+    def test_least_squares_horizon_needs_no_hessian(self, monkeypatch, horizon_task):
+        T = 6
+        robot, b = horizon_task(T)
+        p = b.build()
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a least-squares cost needs neither ∇²f nor a projection")
+
+        monkeypatch.setattr(to.Problem, "hessian", forbidden)
+        monkeypatch.setattr(np.linalg, "eigh", forbidden)
+        path = np.stack([np.linspace(0.3, 0.6, T), np.full(T, 0.5)])
+        ref = np.stack([robot.global_link_position("ee", q) for q in path.T], axis=1)
+        s = Solver(p).setup("sqp")
+        s.reset_parameters({"ref": ref, "qc": path[:, 0]})
+        sol = s.solve()
+        assert sol.success and sol.termination == "kkt-tolerance"
+
+    def test_arm6_cold_ik_converges_in_few_iterations(self, arm6):
+        # each goal is the tip of a configuration ARM6_POSE + U(-0.5, 0.5) per
+        # joint, and each solve starts within 0.1 rad per joint of that
+        # configuration; the 1e-6 pull toward ARM6_POSE moves the answer
+        # along the three-dimensional self-motion manifold
+        pose = np.array([0.0, 0.6, 0.8, 0.0, 0.5, 0.0])
+        b = to.TaskBuilder(1, robots=[arm6])
+        q = b.get_model_state("arm6", 0)
+        goal = b.add_parameter("goal", 3)
+        nominal = b.add_parameter("nominal", 6)
+        b.add_cost_term("goal", to.sumsqr(arm6.global_link_position("ee", q) - goal))
+        b.add_cost_term("regularizer", 1e-6 * to.sumsqr(q - nominal))
+        b.enforce_model_limits("arm6")
+        s = Solver(b.build()).setup("sqp")
+        rng = np.random.default_rng(0)
+        iterations = []
+        for _ in range(40):
+            q_goal = pose + rng.uniform(-0.5, 0.5, 6)
+            s.reset_parameters({"goal": arm6.global_link_position("ee", q_goal), "nominal": pose})
+            s.reset_initial_seed({"arm6/0": q_goal + rng.uniform(-0.1, 0.1, 6)})
+            sol = s.solve()
+            assert sol.termination != "max-iterations"
+            iterations.append(sol.iterations)
+        assert np.median(iterations) <= 10, iterations
 
     def test_bound_rows_with_coefficients_and_duplicates(self):
         # 2 x0 >= p0 (coefficient 2, constant from a parameter), two lower
