@@ -19,7 +19,7 @@ rejects any decision leaf that slips in.
 The cost is split at build into weighted residuals and a rest,
 ``f = sum c r**2 + f_rest`` (:func:`_least_squares`): every summand of the
 top-level sum of the form ``c * (r * r)``, with c a product of constants
->= 0, adds a residual.  The residuals r and their Jacobian J are compiled
+>= 0 and r depending on X, adds a residual.  The residuals r and their Jacobian J are compiled
 in place of f and ∇f, and f_rest with its derivatives only when the cost
 has a rest.  :meth:`Problem.objective` is ``sum c r**2 + f_rest`` and
 :meth:`Problem.gradient` is ``2 J'(c r) + ∇f_rest``, with r and J from
@@ -183,17 +183,17 @@ def _transcribe(f: Expression, inequalities, equalities, x_leaves):
         nodes = residuals + [node for row in jac for _, node in row]
         pieces["res"] = ((m, 1), list(range(m)), residuals)
         pieces["res_jac"] = ((1, len(nodes)), list(range(len(nodes))), nodes)
-    if rest and m:
-        f_rest = expr._ZERO
-        for node, c in rest:
-            f_rest = expr._add(f_rest, expr._mul(expr._const(c), node))
-        (grad_rest,) = expr._jacobian([f_rest], x_leaves, memo)
-        hess_rest = expr._hessian(grad_rest, x_leaves, memo)
-        if any(hess_rest):
-            pieces["hess_rest"] = expr._sparse_entries(hess_rest, n)
-    elif rest:  # the whole cost is rest
-        f_rest, grad_rest = f.entries()[0], grad
     if rest:
+        if m:
+            f_rest = expr._ZERO
+            for node, c in rest:
+                f_rest = expr._add(f_rest, expr._mul(expr._const(c), node))
+            (grad_rest,) = expr._jacobian([f_rest], x_leaves, memo)
+            hess_rest = expr._hessian(grad_rest, x_leaves, memo)
+            if any(hess_rest):
+                pieces["hess_rest"] = expr._sparse_entries(hess_rest, n)
+        else:  # the whole cost is rest
+            f_rest, grad_rest = f.entries()[0], grad
         pieces["f_rest"] = ((1, 1), [0], [f_rest])
         pieces["grad_rest"] = expr._sparse_entries([grad_rest], n)
     pattern = (
@@ -452,7 +452,7 @@ class Problem:
         g = 2.0 * np.bincount(cols, values[m:] * wr, minlength=self.n_x)
         if self._grad_rest is not None:
             g += self._grad_rest(X, P).ravel()
-        if np.isnan(values).all():
+        if math.isnan(values[0]) and np.isnan(values).all():
             g[:] = np.nan
         return g
 
