@@ -20,23 +20,23 @@ The cost is split at build into weighted residuals and a rest,
 ``f = sum c r**2 + f_rest`` (:func:`_least_squares`): every summand of the
 top-level sum of the form ``c * (r * r)``, with c a product of constants
 >= 0 and r depending on X, adds a residual.  The residuals r and their Jacobian J are compiled
-in place of f and ∇f, and f_rest with its derivatives only when the cost
+in place of f and ∇f, and f_rest with its gradient only when the cost
 has a rest.  :meth:`Problem.objective` is ``sum c r**2 + f_rest`` and
 :meth:`Problem.gradient` is ``2 J'(c r) + ∇f_rest``, with r and J from
 one call.  A solver's curvature comes from the same J: the private
 :meth:`Problem._gauss_newton` forms ``2 J'CJ`` block by block from the
-values the last gradient left, and :meth:`Problem._rest_hessian` gives
-∇²f_rest.  :meth:`Problem.hessian` stays the exact ∇²f.
+values the last gradient left.  :meth:`Problem.hessian` stays the exact
+∇²f, the only second derivative compiled.
 
 Derivatives are built and compiled from their structural nonzeros: each
 row (and each gradient entry, for the Hessian) is differentiated only by
 the decision leaves it depends on, so a horizon problem's derivatives grow
 with its nonzeros, not with rows x columns.  Every public evaluator still
 returns a dense numpy array; the entries outside the structure are +0.0.
-The connected components of the cost's curvature structure (∇²f, ``J'CJ``
-and ∇²f_rest) are kept as :attr:`Problem.hessian_blocks`: a stage-wise
-cost has a block-diagonal Hessian, and a solver can then work on each
-block alone.
+The connected components of the cost's curvature structure (∇²f and
+``J'CJ``) are kept as :attr:`Problem.hessian_blocks`: a stage-wise cost
+has a block-diagonal Hessian, and a solver can then work on each block
+alone.
 
 A k row whose M row has exactly one structural nonzero, a finite nonzero
 constant, bounds one variable: ``coef * X[col] + c >= 0``.  These rows are
@@ -152,7 +152,7 @@ def _transcribe(f: Expression, inequalities, equalities, x_leaves):
     """Symbolic pieces of the canonical program, row labels and whether f is quadratic.
 
     Every derivative comes from one ``_diff`` memo: the cost Hessian, the
-    residual Jacobian, the derivatives of the rest of the cost, the row
+    residual Jacobian, the gradient of the rest of the cost, the row
     Jacobians and the structure tests of rows and cost share each (node,
     leaf) derivative, so none is built twice.  The memo is released on
     return, before anything is compiled.  Each derivative piece holds only
@@ -161,12 +161,11 @@ def _transcribe(f: Expression, inequalities, equalities, x_leaves):
 
     The cost is split by :func:`_least_squares`.  ``res`` holds the
     residuals and ``res_jac`` the residuals followed by their Jacobian's
-    nonzeros, row by row, so one call gives both; ``f_rest``,
-    ``grad_rest`` and ``hess_rest`` are the rest of the cost and its
-    derivatives.  A cost with no residual is all rest, and its Hessian is
-    ``hess``; a rest without second derivatives has no ``hess_rest``.
-    The residual Jacobian's pattern and the weights are returned as
-    ``(rows, cols, weights)`` arrays.
+    nonzeros, row by row, so one call gives both; ``f_rest`` and
+    ``grad_rest`` are the rest of the cost and its gradient.  A cost with
+    no residual is all rest.  The residual Jacobian's pattern and the
+    weights are returned as ``(rows, cols, weights)`` arrays, and
+    ``rest_curved`` tells whether the rest has second derivatives.
     """
     memo: dict = {}
     n = len(x_leaves)
@@ -183,17 +182,16 @@ def _transcribe(f: Expression, inequalities, equalities, x_leaves):
         nodes = residuals + [node for row in jac for _, node in row]
         pieces["res"] = ((m, 1), list(range(m)), residuals)
         pieces["res_jac"] = ((1, len(nodes)), list(range(len(nodes))), nodes)
+    rest_curved = False
     if rest:
         if m:
             f_rest = expr._ZERO
             for node, c in rest:
                 f_rest = expr._add(f_rest, expr._mul(expr._const(c), node))
             (grad_rest,) = expr._jacobian([f_rest], x_leaves, memo)
-            hess_rest = expr._hessian(grad_rest, x_leaves, memo)
-            if any(hess_rest):
-                pieces["hess_rest"] = expr._sparse_entries(hess_rest, n)
         else:  # the whole cost is rest
             f_rest, grad_rest = f.entries()[0], grad
+        rest_curved = any(expr._deps(node) & x_set for _, node in grad_rest)
         pieces["f_rest"] = ((1, 1), [0], [f_rest])
         pieces["grad_rest"] = expr._sparse_entries([grad_rest], n)
     pattern = (
@@ -217,7 +215,7 @@ def _transcribe(f: Expression, inequalities, equalities, x_leaves):
         if nonlin_rows:
             pieces[g] = Expression(stack[nonlin_rows])
             pieces[Jg] = expr._sparse_entries([J[i] for i in nonlin_rows], n)
-    return pieces, labels, quad_cost, pattern
+    return pieces, labels, quad_cost, pattern, rest_curved
 
 
 def _bound_rows(entries, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -317,10 +315,10 @@ class Problem:
     nonlinear one (g or h) otherwise; ``labels`` lists each partition's row
     labels in row order.  ``hessian_blocks`` partitions the columns of X
     into the connected components of the cost's curvature structure (see
-    :func:`_hessian_blocks`): no entry of ∇²f, of ``J'CJ`` or of ∇²f_rest
-    couples two blocks.  The
-    private ``_bounds`` holds the k rows that bound one variable (see
-    :func:`_bound_rows`), fixed at build.
+    :func:`_hessian_blocks`): no entry of ∇²f or of ``J'CJ`` couples two
+    blocks.  The private ``_bounds`` holds the k rows that bound one
+    variable (see :func:`_bound_rows`), and ``_rest_curved`` whether the
+    rest of the cost has second derivatives, both fixed at build.
     """
 
     def __init__(
@@ -338,24 +336,20 @@ class Problem:
         if not objective_expr.is_scalar():
             raise ValueError("objective must be scalar")
 
-        symbolic, self.labels, quad_cost, pattern = _transcribe(
+        symbolic, self.labels, quad_cost, pattern, self._rest_curved = _transcribe(
             objective_expr, inequalities, equalities, decision.leaves()
         )
-        # the components of ∇²f's pattern, joined wherever a residual or
-        # the rest of the cost couples two columns, so that 2 J'CJ and
-        # ∇²f_rest lie inside the blocks even where ∇²f cancels to zero
+        # the components of ∇²f's pattern, joined wherever a residual
+        # couples two columns, so that 2 J'CJ lies inside the blocks even
+        # where ∇²f cancels to zero
         rows, cols, _ = pattern
         ends = np.searchsorted(rows, rows, side="left")  # each row's first nonzero
         couplings = (cols[ends] * self.n_x + cols).tolist()
-        rest_positions = symbolic["hess_rest"][1] if "hess_rest" in symbolic else []
-        self._hessian_blocks = _hessian_blocks(
-            symbolic["hess"][1] + couplings + rest_positions, self.n_x
-        )
+        self._hessian_blocks = _hessian_blocks(symbolic["hess"][1] + couplings, self.n_x)
         self._weights = pattern[2]
         self._jac_pattern = rows, cols
         self._pairs = _gauss_newton_pairs(pattern, self._hessian_blocks, self.n_x)
         self._bounds = _bound_rows(symbolic.get("M", ((0, self.n_x), [], [])), self.n_x)
-        curved = bool(symbolic["hess"][1])
         p_layout = ("parameter", parameters.layout())
         xp = (("variable", decision.layout()), p_layout)
         fns = {}
@@ -365,9 +359,6 @@ class Problem:
         self._hess = fns["hess"]
         self._res, self._res_jac = fns.get("res"), fns.get("res_jac")
         self._f_rest, self._grad_rest = fns.get("f_rest"), fns.get("grad_rest")
-        self._hess_rest = fns.get("hess_rest")
-        if self._res is None and curved:  # the whole cost is rest
-            self._hess_rest = self._hess
         # (bytes of X and P, residuals and Jacobian values) of the last gradient
         self._last_res_jac = (None, None)
         self._M, self._c, self._A, self._b = (fns.get(k) for k in _PARAMETER_ONLY)
@@ -478,13 +469,6 @@ class Problem:
         size = groups[-1][1] if groups else 0
         flat = np.bincount(target, scale * (J[first] * J[second]), minlength=size)
         return tuple(flat[start:stop].reshape(shape) for start, stop, shape in groups)
-
-    def _rest_hessian(self, X, P) -> np.ndarray | None:
-        """∇²f_rest, or None when the rest of the cost has no second derivative."""
-        if self._hess_rest is None:
-            return None
-        X, P = self._check(X, P)
-        return self._hess_rest(X, P)
 
     def lin_ineq(self, P=()) -> tuple[np.ndarray, np.ndarray]:
         """(M, c) with k = M X + c >= 0."""

@@ -4,14 +4,20 @@ Each iteration linearizes the constraints, solves the QP subproblem
 exactly with the dual active-set solver, warm-started from the previous
 iteration's multipliers, and backtracks on the l1 merit function.
 
-The QP's curvature B is the Gauss-Newton matrix of the cost's residuals.
-:class:`~taskopt.problem.Problem` splits a least-squares cost into
-weighted residuals, ``f = sum c r**2 + f_rest``, and hands back
-``2 J'CJ`` block by block on :attr:`Problem.hessian_blocks`; it is
+The QP's curvature B is the Gauss-Newton matrix G of the cost's
+residuals.  :class:`~taskopt.problem.Problem` splits a least-squares cost
+into weighted residuals, ``f = sum c r**2 + f_rest``, and hands back
+``G = 2 J'CJ`` block by block on :attr:`Problem.hessian_blocks`; it is
 positive semidefinite by construction, as in constrained Gauss-Newton
-(Bock 1983) and the least-squares MPC costs of acados.  The rest of the
-cost, when it has second derivatives, adds its exact Hessian with the
-spectrum of each block clipped from below (:func:`_psd_projection`).  B is
+(Bock 1983) and the least-squares MPC costs of acados.  G leaves out the
+residuals' own curvature, ``sum c r ∇²r``, which only a residual that
+stays large at the solution makes matter.  Each accepted step s tells
+both: when the cost gradient's change along s departs from ``s'Gs`` by
+at least ``s'Gs``, Gauss-Newton does not contract along s, and when f
+also fell by less than a fifth the residual is not vanishing (the hybrid
+test of Fletcher & Xu 1987).  Then the next QP's B is G plus ∇²f - G with
+the spectrum of each block clipped from below (:func:`_psd_projection`);
+a cost whose rest has second derivatives always takes that B.  B is
 formed only where a QP follows, at a point whose KKT test failed, from the
 residual Jacobian the gradient there already evaluated.  A B that is
 singular off the null space of the equality rows goes through the QP's
@@ -56,7 +62,12 @@ from .qp import _NullSpace, _qp_rows, solve_qp
 __all__ = ["SQPSolver", "QuasiNewtonSolver"]
 
 _MIN_EIGENVALUE = 1e-6
+# the projection's floor on each eigenvalue, relative to the largest one
+_RELATIVE_FLOOR = 1e-3
 _ELASTIC_WEIGHT = 1e3
+# a step that lowers f by less than this share of it marks a residual that
+# does not vanish (Fletcher & Xu 1987)
+_LARGE_RESIDUAL = 0.2
 
 
 def _block_positions(blocks, n: int) -> tuple[np.ndarray, ...]:
@@ -69,7 +80,7 @@ def _block_positions(blocks, n: int) -> tuple[np.ndarray, ...]:
     return tuple(block[:, :, None] * n + block[:, None, :] for block in blocks)
 
 
-def _psd_projection(H: np.ndarray, blocks, relative_floor: float = 1e-3) -> np.ndarray:
+def _psd_projection(H: np.ndarray, blocks) -> np.ndarray:
     """Clip the spectrum from below, one diagonal block at a time.
 
     ``blocks`` are the :func:`_block_positions` of a partition of H's
@@ -79,9 +90,9 @@ def _psd_projection(H: np.ndarray, blocks, relative_floor: float = 1e-3) -> np.n
     of H is the union of theirs.  With one block this is the projection of
     the whole matrix, to the byte.
 
-    The default floor scales with the largest eigenvalue of H so flat cost
-    directions still give the QP subproblem workable curvature; a zero
-    relative floor leaves only the absolute one, ``_MIN_EIGENVALUE``.
+    The floor scales with the largest eigenvalue of H
+    (``_RELATIVE_FLOOR``), and is at least ``_MIN_EIGENVALUE``, so flat
+    cost directions still give the QP subproblem workable curvature.
     """
     n = H.shape[0]
     if not np.isfinite(H).all():
@@ -98,7 +109,7 @@ def _psd_projection(H: np.ndarray, blocks, relative_floor: float = 1e-3) -> np.n
     except np.linalg.LinAlgError:
         return np.eye(n)
     top = max([w.max() for _, w, _ in spectra], default=0.0)
-    floor = max(_MIN_EIGENVALUE, relative_floor * float(top))
+    floor = max(_MIN_EIGENVALUE, _RELATIVE_FLOOR * float(top))
     B = np.zeros((n, n))
     for at, w, V in spectra:
         w = np.maximum(w, floor)
@@ -255,15 +266,18 @@ class SQPSolver(SolverAdapter):
         C_eq = np.vstack([A, prob.nonlin_eq_jacobian(x, params)]) if prob.n_h else A
         return grad, C_in, C_eq
 
-    def _curvature(self, x, params):
-        """The QP's B at x: ∇²f_rest projected per block, when the cost has
-        one, plus ``2 J'CJ`` of the residuals, put block by block."""
+    def _curvature(self, x, params, exact):
+        """The QP's B at x and ``G = 2 J'CJ`` of the residuals, put block by block.
+
+        B is G, plus, when ``exact``, ∇²f - G projected per block.
+        """
         prob, blocks = self.problem, self._blocks
-        H_rest = prob._rest_hessian(x, params)
-        B = np.zeros((prob.n_x, prob.n_x)) if H_rest is None else _psd_projection(H_rest, blocks)
+        G = np.zeros((prob.n_x, prob.n_x))
         for at, values in zip(blocks, prob._gauss_newton(x, params)):
-            B.put(at, B.take(at) + values)
-        return B
+            G.put(at, values)
+        if not exact:
+            return G, G
+        return G + _psd_projection(prob.hessian(x, params) - G, blocks), G
 
     # subproblem ----------------------------------------------------------
     def _subproblem(self, B, grad, C_in, r_in, C_eq, r_eq, y0, mu):
@@ -367,6 +381,10 @@ class SQPSolver(SolverAdapter):
         self.termination = "max-iterations"
 
         y_prev = np.zeros(m_in + m_eq)
+        # whether B takes ∇²f as well as G, and the last step with the cost
+        # gradient's change along it and f at its start
+        exact = prob._rest_curved
+        secant = None
         it = 0
         for it in range(1, opts.max_iterations + 1):
             finite = (
@@ -390,7 +408,15 @@ class SQPSolver(SolverAdapter):
                 it -= 1
                 break
 
-            B = self._curvature(x, params)
+            if secant is not None:
+                # G leaves out sum c r ∇²r.  Where the last step met at least
+                # as much of that curvature as of G's, Gauss-Newton does not
+                # contract along it; where f also fell by less than a fifth,
+                # the residual is not vanishing.  Then ∇²f joins B
+                s, dg, f_start = secant
+                sGs = float(s @ G @ s)
+                exact = abs(float(s @ dg) - sGs) >= sGs and f_start - f < _LARGE_RESIDUAL * f_start
+            B, G = self._curvature(x, params, exact)
             d, y, elastic = self._subproblem(B, grad, C_in, r_in, C_eq, r_eq, y_prev, mu)
             if not np.isfinite(d).all():
                 self.termination = "nan"
@@ -436,7 +462,10 @@ class SQPSolver(SolverAdapter):
                 break
 
             x_new = x + alpha * d
+            grad_x = grad
             grad, C_in, C_eq = self._derivatives(x_new, params, M, A)
+            if not prob._rest_curved:
+                secant = (x_new - x, grad - grad_x, f)
             step = float(np.abs(x_new - x).max(initial=0.0))
             x = x_new
             f, r_in, r_eq = trial

@@ -15,6 +15,7 @@ from taskopt.cli import (
     main,
     run_ik,
     run_info,
+    run_dims,
     run_plan,
     run_track,
 )
@@ -174,6 +175,24 @@ class TestTrackCommand:
 
 
 class TestDimsCommand:
+    def test_default_sweep_converges(self, monkeypatch):
+        # from 0.8 on the full pose, and at 1.02 the position alone, end
+        # with a nonzero residual where the arm is stretched out
+        terminations = []
+        solve = to.Solver.solve
+
+        def recorded(self):
+            sol = solve(self)
+            terminations.append(sol.termination)
+            return sol
+
+        monkeypatch.setattr(to.Solver, "solve", recorded)
+        res = run_dims(dict(_DEFAULTS["dims"]))
+        assert set(terminations) == {"kkt-tolerance"}, terminations
+        beyond = res.rows[-1]
+        assert beyond.fraction == 1.02
+        assert beyond.posonly_error == pytest.approx(0.02 * 1.1, abs=1e-6)
+
     def test_csv_written(self, tmp_path):
         cfgf = tmp_path / "cfg.json"
         cfgf.write_text(json.dumps({"fractions": [0.5, 0.99]}))

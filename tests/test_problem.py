@@ -205,7 +205,7 @@ class TestLeastSquaresSplit:
         assert prob._weights.tolist() == [1.0, 1.0, 2.0, 1.0]
         rows, cols = prob._jac_pattern
         assert rows.tolist() == [0, 1, 1, 2, 3] and cols.tolist() == [0, 1, 2, 2, 0]
-        assert prob._f_rest is not None and prob._hess_rest is not None
+        assert prob._f_rest is not None and prob._rest_curved
 
     def test_objective_and_gradient_match_the_whole_cost(self):
         b, x, p, cost = self._task()
@@ -244,12 +244,19 @@ class TestLeastSquaresSplit:
         assert np.isnan(prob.gradient([0.0, 0.5])).all()
         assert np.isfinite(prob.gradient([2.0, 0.5])).all()
 
+    def test_linear_rest_has_no_curvature(self):
+        b = to.TaskBuilder(1)
+        x = b.add_decision_variables("x", 2)
+        b.add_cost_term("c", to.sumsqr(x[0, 0] - 1.0) + 0.5 * x[1, 0] + 2.0)
+        prob = b.build()
+        assert prob._f_rest is not None and not prob._rest_curved
+
     def test_cost_without_squares_is_all_rest(self):
         b = to.TaskBuilder(1)
         x = b.add_decision_variables("x", 2)
         b.add_cost_term("c", to.cos(x[0, 0]) * x[1, 0])
         prob = b.build()
-        assert prob._res is None and prob._hess_rest is prob._hess
+        assert prob._res is None and prob._rest_curved
         X = np.array([0.4, -1.3])
         assert prob.gradient(X).tobytes() == to.evaluate(
             to.gradient(to.cos(x[0, 0]) * x[1, 0], x), {"x": X}

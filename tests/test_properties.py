@@ -15,7 +15,7 @@ from taskopt.expr import CompiledFunction, Expression, Node
 from taskopt.problem import _hessian_blocks
 from taskopt.solvers import solve_qp
 from taskopt.solvers.qp import _NullSpace
-from taskopt.solvers.sqp import _MIN_EIGENVALUE, _block_positions, _psd_projection
+from taskopt.solvers.sqp import _MIN_EIGENVALUE, _RELATIVE_FLOOR, _block_positions, _psd_projection
 
 from conftest import brute_force_qp
 
@@ -783,10 +783,10 @@ class TestNullSpace:
         assert solve_qp(H, q, C, lo, hi, lb=lb, ub=ub, _null_space=ns).termination == "infeasible"
 
 
-def _dense_projection(H, relative_floor):
+def _dense_projection(H):
     """The spectral clip of the whole matrix: symmetrise, one eigh, floor from the top eigenvalue."""
     w, V = np.linalg.eigh(0.5 * (H + H.T))
-    floor = max(_MIN_EIGENVALUE, relative_floor * float(w.max(initial=0.0)))
+    floor = max(_MIN_EIGENVALUE, _RELATIVE_FLOOR * float(w.max(initial=0.0)))
     return (V * np.clip(w, floor, None)) @ V.T, floor
 
 
@@ -820,16 +820,16 @@ def _structure(parts, n):
 
 class TestBlockProjection:
     @_PROPERTY
-    @given(case=block_diagonal(), relative_floor=st.sampled_from((1e-3, 0.0)))
-    def test_matches_the_dense_projection(self, case, relative_floor):
+    @given(case=block_diagonal())
+    def test_matches_the_dense_projection(self, case):
         H, parts = case
         n = H.shape[0]
         blocks = _structure(parts, n)
         assert sorted(map(tuple, (row for group in blocks for row in group))) == sorted(
             map(tuple, parts)
         )
-        B = _psd_projection(H, _block_positions(blocks, n), relative_floor)
-        want, floor = _dense_projection(H, relative_floor)
+        B = _psd_projection(H, _block_positions(blocks, n))
+        want, floor = _dense_projection(H)
         scale = max(np.abs(H).max(), _MIN_EIGENVALUE)
         assert np.abs(B - want).max() <= 1e-12 * scale
         inside = np.zeros((n, n), dtype=bool)
@@ -841,13 +841,13 @@ class TestBlockProjection:
         assert np.linalg.eigvalsh(B).min() >= floor - 1e-12 * scale
 
     @_PROPERTY
-    @given(case=block_diagonal(), relative_floor=st.sampled_from((1e-3, 0.0)))
-    def test_one_block_is_the_dense_projection(self, case, relative_floor):
+    @given(case=block_diagonal())
+    def test_one_block_is_the_dense_projection(self, case):
         H = case[0]
         n = H.shape[0]
         one = _block_positions((np.arange(n)[None, :],), n)
-        want, _ = _dense_projection(H, relative_floor)
-        assert _psd_projection(H, one, relative_floor).tobytes() == want.tobytes()
+        want, _ = _dense_projection(H)
+        assert _psd_projection(H, one).tobytes() == want.tobytes()
 
     @_PROPERTY
     @given(case=block_diagonal(), bad=st.sampled_from((np.nan, np.inf, -np.inf)), data=st.data())

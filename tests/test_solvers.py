@@ -479,6 +479,21 @@ class TestSQPSolver:
         sol = s.solve()
         assert sol.success and sol.termination == "kkt-tolerance"
 
+    @pytest.mark.parametrize("tag", ["sqp", "bfgs"])
+    def test_large_residual_takes_the_exact_hessian(self, tag):
+        # Dennis & Schnabel's r = (x + 1, lam x^2 + x - 1) with lam = -2: at
+        # the minimiser x = 0 the residual is (1, -1), and Gauss-Newton's
+        # 2 J'J = 4 keeps a third of f'' = 12, so alone it does not contract
+        b = to.TaskBuilder(1)
+        x = b.add_decision_variables("x", 1)
+        x0 = x[0, 0]
+        b.add_cost_term("r", to.sumsqr(x0 + 1.0) + to.sumsqr(-2.0 * x0 * x0 + x0 - 1.0))
+        s = Solver(b.build()).setup(tag)
+        s.reset_initial_seed({"x": [[1.0]]})
+        sol = s.solve()
+        assert sol.termination == "kkt-tolerance"
+        assert sol.iterations <= 10 and abs(sol.x[0]) <= 1e-8
+
     def test_arm6_cold_ik_converges_in_few_iterations(self, arm6):
         # each goal is the tip of a configuration ARM6_POSE + U(-0.5, 0.5) per
         # joint, and each solve starts within 0.1 rad per joint of that
