@@ -943,22 +943,16 @@ _CLASS_RANK = {
 }
 
 
-def _has_hard_nonlinearity(nodes: Iterable[Node], wrt: frozenset) -> bool:
-    # division by a wrt-dependent denominator and atan2 of wrt-dependent
-    # arguments are nonlinear regardless of what derivatives simplify to
-    return any(
-        (n.op == _DIV and _deps(n.b) & wrt) or (n.op == _ATAN2 and (_deps(n.a) | _deps(n.b)) & wrt)
-        for n in _postorder(nodes).values()
-    )
-
-
 def classify(e, wrt) -> StructureClass:
     """Structural class of ``e`` with respect to the given leaves.
 
     Linear means the first derivative contains no wrt leaf after local
     simplification; quadratic likewise for the second derivative.  The
     check is structural, not value-based, so expressions that only cancel
-    algebraically stay in the wider class.
+    algebraically stay in the wider class.  No rule folds a quotient by a
+    wrt-dependent denominator, so a division by one, or an atan2 of
+    wrt-dependent arguments, keeps such a quotient in every derivative and
+    is nonlinear.
     """
     return _classify(as_expression(e).entries(), frozenset(_leaf_list(wrt)), {})
 
@@ -967,8 +961,6 @@ def _classify(entries: Sequence[Node], wrtset: frozenset, cache: dict) -> Struct
     """:func:`classify` over scalar nodes and a prepared leaf set, reusing ``cache``."""
     if not any(_deps(n) & wrtset for n in entries):
         return StructureClass.CONSTANT
-    if _has_hard_nonlinearity(entries, wrtset):
-        return StructureClass.NONLINEAR
 
     firsts: list[Node] = []
     for n in entries:

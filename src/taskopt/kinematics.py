@@ -27,7 +27,6 @@ import numpy as np
 from . import expr, spatial
 from .expr import Expression, as_expression
 from .urdf import (
-    CONTINUOUS_LIMIT_SENTINEL,
     UrdfError,
     UrdfJoint,
     UrdfModel,
@@ -134,12 +133,6 @@ class RobotModel:
     @property
     def velocity_limits(self) -> np.ndarray:
         return np.array([j.velocity for j in self._joints])
-
-    def clipped_limits(self) -> tuple[np.ndarray, np.ndarray]:
-        """Position limits with infinities replaced by the documented sentinel."""
-        lo = np.clip(self.lower_limits, -CONTINUOUS_LIMIT_SENTINEL, None)
-        hi = np.clip(self.upper_limits, None, CONTINUOUS_LIMIT_SENTINEL)
-        return lo, hi
 
     def random_joint_positions(self, rng=None, margin: float = 0.0) -> np.ndarray:
         """Uniform sample inside the limits (continuous joints use +-pi)."""

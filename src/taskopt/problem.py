@@ -1,10 +1,10 @@
 """Canonical constrained problem: numeric evaluation of objective, constraints,
 and their derivatives given the stacked decision vector X and parameter vector P.
 
-Transcription happens here: :class:`Problem` routes each constraint row
-into one of the four canonical partitions and builds every symbolic
-derivative of the build (cost Hessian, residual Jacobian, row Jacobians
-and the structure tests) from one shared memo, so none is built twice.
+Transcription happens here: :class:`Problem` builds every symbolic
+derivative of the build from one shared memo, so none is built twice,
+and routes each constraint row into one of the four canonical partitions
+on its own Jacobian row: linear when no entry of it depends on X.
 
 * ``k(X; P) = M(P) X + c(P) >= 0``   linear inequalities
 * ``a(X; P) = A(P) X + b(P) = 0``    linear equalities
@@ -153,8 +153,9 @@ def _transcribe(f: Expression, inequalities, equalities, x_leaves):
 
     Every derivative comes from one ``_diff`` memo: the cost Hessian, the
     residual Jacobian, the gradient of the rest of the cost, the row
-    Jacobians and the structure tests of rows and cost share each (node,
-    leaf) derivative, so none is built twice.  The memo is released on
+    Jacobians and the cost's structure test share each (node, leaf)
+    derivative, so none is built twice.  A row is linear when no entry of
+    its Jacobian row depends on X.  The memo is released on
     return, before anything is compiled.  Each derivative piece holds only
     its structural nonzeros, as the entries
     :class:`~taskopt.expr.CompiledFunction` takes.
@@ -204,7 +205,7 @@ def _transcribe(f: Expression, inequalities, equalities, x_leaves):
     for (k, M, c, g, Jg), rows in zip(_SPLITS, (inequalities, equalities)):
         stack = np.array([node for _, node in rows], dtype=object)
         J = expr._jacobian(stack, x_leaves, memo)
-        linear = [expr._classify([node], x_set, memo) <= expr.StructureClass.LINEAR for node in stack]
+        linear = [not any(expr._deps(d) & x_set for _, d in row) for row in J]
         for (name, _), lin in zip(rows, linear):
             labels[k if lin else g].append(name)
         lin_rows = [i for i, lin in enumerate(linear) if lin]
@@ -311,10 +312,11 @@ class Problem:
 
     ``inequalities`` and ``equalities`` hold one ``(label, row)`` pair per
     scalar row, read as ``row >= 0`` and ``row == 0``.  A row goes to its
-    linear partition (k or a) when ``classify(row, X) <= LINEAR`` and to its
-    nonlinear one (g or h) otherwise; ``labels`` lists each partition's row
-    labels in row order.  ``hessian_blocks`` partitions the columns of X
-    into the connected components of the cost's curvature structure (see
+    linear partition (k or a) when no entry of its Jacobian row depends on
+    X, as ``classify(row, X) <= LINEAR`` says, and to its nonlinear one (g
+    or h) otherwise; ``labels`` lists each partition's row labels in row
+    order.  ``hessian_blocks`` partitions the columns of X into the
+    connected components of the cost's curvature structure (see
     :func:`_hessian_blocks`): no entry of ∇²f or of ``J'CJ`` couples two
     blocks.  The private ``_bounds`` holds the k rows that bound one
     variable (see :func:`_bound_rows`), and ``_rest_curved`` whether the
@@ -514,22 +516,27 @@ class Problem:
         X, P = self._check(X, P)
         return self._Jh(X, P) if self._Jh is not None else np.zeros((0, self.n_x))
 
-    def constraints(self, X, P=()) -> ConstraintValues:
-        """Values of all four partitions at (X, P).
+    def _k(self, X, M, c) -> np.ndarray:
+        """The k rows at X from the ``(M, c)`` of :meth:`_lin_ineq_general`.
 
         The k rows that bound one variable are gathered from ``_bounds``,
         so a non-finite entry of X makes only the rows on that variable
         non-finite.
         """
-        X, P = self._check(X, P)
-        M, c = self._lin_ineq_general(P)
         rows, cols, coefs = self._bounds
+        if self._general_k.size == 0:  # then rows is 0..n_k-1
+            return coefs * X[cols] + c
         k = np.empty(self.n_k)
         k[rows] = coefs * X[cols] + c[rows]
         k[self._general_k] = M @ X + c[self._general_k]
+        return k
+
+    def constraints(self, X, P=()) -> ConstraintValues:
+        """Values of all four partitions at (X, P)."""
+        X, P = self._check(X, P)
         A, b = self.lin_eq(P)
         return ConstraintValues(
-            k=k,
+            k=self._k(X, *self._lin_ineq_general(P)),
             a=A @ X + b if self.n_a else np.zeros(0),
             g=self.nonlin_ineq(X, P),
             h=self.nonlin_eq(X, P),

@@ -205,8 +205,9 @@ class Solver:
         if last is not None and last[0] is not returned:
             last = None
         if not np.all(np.isfinite(x_star)):
+            if success:  # a failure the adapter reported keeps its termination
+                termination = "nan"
             success = False
-            termination = "nan"
             x_star = np.where(np.isfinite(x_star), x_star, 0.0)
             last = None  # the reported point is not the one evaluated
 

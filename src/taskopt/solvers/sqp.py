@@ -38,7 +38,7 @@ tightest where a variable has several rows on one side.  A bound
 multiplier goes back to the row that set it, divided by its coefficient,
 and enters the merit penalty and the KKT test through one scatter-add
 over the bound columns.  The elastic retry alone states every k row as a
-row, with its own slack.
+row, with its own slack, and its slacks >= 0 as ``lb``.
 
 Each point is evaluated once: the line search computes f and the rows at
 every trial point, and the loop computes the derivatives at the accepted
@@ -151,8 +151,6 @@ class _BoundRows:
         m_in = n_k + n_g
         is_bound = np.zeros(m_in, dtype=bool)
         is_bound[self.rows] = True
-        self.general_k = np.flatnonzero(~is_bound[:n_k])
-        self.only = self.general_k.size == 0  # then rows is 0..n_k-1
         self.general = np.flatnonzero(~is_bound)
         self.warm = np.concatenate([self.general, np.arange(m_in, m_in + m_eq)])
         lower = self.coefs > 0.0
@@ -163,15 +161,6 @@ class _BoundRows:
             at = np.flatnonzero(mask)
             cols = self.cols[at]
             self.sides.append((at, cols, np.bincount(cols).max(initial=0) <= 1))
-
-    def k(self, x, M, c):
-        """The k rows at x; ``M`` holds only the general k rows of M."""
-        if self.only:
-            return self.coefs * x[self.cols] + c
-        k = np.empty(c.size)
-        k[self.rows] = self.coefs * x[self.cols] + c[self.rows]
-        k[self.general_k] = M @ x + c[self.general_k]
-        return k
 
     def qp_bounds(self, t, n):
         """``(lb, ub)`` on d from ``t``, where each bound row holds with equality.
@@ -250,11 +239,11 @@ class SQPSolver(SolverAdapter):
     def _values(self, x, params, M, c, A, b):
         """The objective and the stacked inequality and equality rows at x.
 
-        ``M`` holds only the general k rows; the bound rows are gathered.
+        ``M`` holds only the general k rows; ``Problem._k`` gathers the bound rows.
         """
         prob = self.problem
         f = prob.objective(x, params)
-        r_in = np.concatenate([self._bound_rows.k(x, M, c), prob.nonlin_ineq(x, params)])
+        r_in = np.concatenate([prob._k(x, M, c), prob.nonlin_ineq(x, params)])
         r_eq = np.concatenate([A @ x + b, prob.nonlin_eq(x, params)])
         return f, r_in, r_eq
 
@@ -314,21 +303,20 @@ class SQPSolver(SolverAdapter):
         # Elastic retry: one slack per inequality row, bound rows included,
         # a split pair per equality row, all nonnegative and priced into the
         # objective; the slacks' small curvature keeps the QP strictly convex.
-        C_in = rows.dense(C_in, n)
         w = _ELASTIC_WEIGHT * max(mu, 1.0)
         n_slack = m_in + 2 * m_eq
         H_aug = _MIN_EIGENVALUE * np.eye(n + n_slack)
         H_aug[:n, :n] = B
         q_aug = np.concatenate([grad, np.full(n_slack, w)])
-        # over (d, slacks): the rows [C_in, I, 0] + r_in >= 0 with the slack
-        # bounds [0, I] >= 0, and the rows [C_eq, 0, -I, I] + r_eq = 0
-        I_in, I_eq = np.eye(m_in, n_slack), np.eye(m_eq)
-        C_in_aug = np.block([[C_in, I_in], [np.zeros((n_slack, n)), np.eye(n_slack)]])
-        r_in_aug = np.concatenate([r_in, np.zeros(n_slack)])
+        # over (d, slacks): the rows [C_in, I, 0] + r_in >= 0 and
+        # [C_eq, 0, -I, I] + r_eq = 0, with the slacks >= 0 as lb
+        I_eq = np.eye(m_eq)
+        C_in_aug = np.hstack([rows.dense(C_in, n), np.eye(m_in, n_slack)])
         C_eq_aug = np.hstack([C_eq, np.zeros((m_eq, m_in)), -I_eq, I_eq])
+        lb = np.concatenate([np.full(n, -np.inf), np.zeros(n_slack)])
 
-        res = solve_qp(H_aug, q_aug, *_qp_rows(C_in_aug, r_in_aug, C_eq_aug, r_eq), options=opts)
-        return res.x[:n], np.concatenate([res.y[:m_in], res.y[m_in + n_slack :]]), True
+        res = solve_qp(H_aug, q_aug, *_qp_rows(C_in_aug, r_in, C_eq_aug, r_eq), options=opts, lb=lb)
+        return res.x[:n], res.y, True
 
     def _update_null_space(self, A):
         """Keep ``_null_space`` a basis of this A: built when A's bytes differ from its own.

@@ -153,6 +153,25 @@ class TestPostorder:
                     assert position[id(c)] < position[key]
 
 
+class TestClassify:
+    @_PROPERTY
+    @given(e=dags())
+    def test_quotients_by_x_are_nonlinear(self, e):
+        # no rule folds a quotient by an x-dependent denominator, so an entry
+        # reaching one, or an atan2 of x-dependent arguments, keeps such a
+        # quotient in every derivative
+        for n in e.entries():
+            x = frozenset(leaf for leaf in expr._deps(n) if leaf.block.name == "x")
+            hard = any(
+                (m.op == expr._DIV and expr._deps(m.b) & x)
+                or (m.op == expr._ATAN2 and (expr._deps(m.a) | expr._deps(m.b)) & x)
+                for m in expr._postorder([n]).values()
+            )
+            if hard:
+                event("quotient by x")
+                assert expr._classify([n], x, {}) is to.StructureClass.NONLINEAR
+
+
 class TestCompiledFunction:
     @_PROPERTY
     @given(

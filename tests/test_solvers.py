@@ -257,6 +257,18 @@ class TestQPSolver:
         assert sol.success
         assert np.abs(sol.x - [0.0, 1.0]).max() <= 1e-6
 
+    def test_indefinite_cost_reports_not_convex(self):
+        # x0 * x1 is a saddle: the QP reports it, and the NaN point it
+        # returns must not turn that into a "nan" termination
+        b = to.TaskBuilder(1)
+        x = b.add_decision_variables("x", 2)
+        b.add_cost_term("c", x[0, 0] * x[1, 0])
+        p = b.build()
+        assert p.classification is ProblemClass.UNCONSTRAINED_QUADRATIC
+        sol = Solver(p).setup("qp").solve()
+        assert sol.success is False
+        assert sol.termination == "not-convex"
+
     def test_stats_history_lengths(self):
         s = Solver(_qp_problem()).setup("qp")
         s.solve()
