@@ -894,9 +894,14 @@ def hessian(e, wrt) -> Expression:
     if not e.is_scalar():
         raise ValueError("hessian requires a scalar expression")
     leaves = _leaf_list(wrt)
+    return _dense(_scalar_hessian(e._n[0, 0], leaves), len(leaves))
+
+
+def _scalar_hessian(f: Node, leaves: Sequence[Node]) -> list[list]:
+    """Sparse symmetric Hessian of the scalar node ``f``: its gradient, then the Hessian, on one fresh memo."""
     cache: dict = {}
-    (grad,) = _jacobian(e._n[0], leaves, cache)
-    return _dense(_hessian(grad, leaves, cache), len(leaves))
+    (grad,) = _jacobian([f], leaves, cache)
+    return _hessian(grad, leaves, cache)
 
 
 def _hessian(grad: list, leaves: Sequence[Node], cache: dict) -> list[list]:

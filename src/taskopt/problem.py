@@ -4,7 +4,9 @@ and their derivatives given the stacked decision vector X and parameter vector P
 Transcription happens here: :class:`Problem` builds every symbolic
 derivative of the build from one shared memo, so none is built twice,
 and routes each constraint row into one of the four canonical partitions
-on its own Jacobian row: linear when no entry of it depends on X.
+on its own Jacobian row: linear when no entry of it depends on X.  The
+build differentiates the cost only as far as a Gauss–Newton solve reads
+it; ∇²f is built on demand (see below).
 
 * ``k(X; P) = M(P) X + c(P) >= 0``   linear inequalities
 * ``a(X; P) = A(P) X + b(P) = 0``    linear equalities
@@ -26,17 +28,22 @@ has a rest.  :meth:`Problem.objective` is ``sum c r**2 + f_rest`` and
 one call.  A solver's curvature comes from the same J: the private
 :meth:`Problem._gauss_newton` forms ``2 J'CJ`` block by block from the
 values the last gradient left.  :meth:`Problem.hessian` stays the exact
-∇²f, the only second derivative compiled.
+∇²f, the only second derivative compiled, and it is built and compiled on
+its first call, from a memo of its own.  Whether f is quadratic follows
+from the split: no entry of J depends on X and f_rest classifies as at
+most quadratic.
 
 Derivatives are built and compiled from their structural nonzeros: each
 row (and each gradient entry, for the Hessian) is differentiated only by
 the decision leaves it depends on, so a horizon problem's derivatives grow
 with its nonzeros, not with rows x columns.  Every public evaluator still
 returns a dense numpy array; the entries outside the structure are +0.0.
-The connected components of the cost's curvature structure (∇²f and
-``J'CJ``) are kept as :attr:`Problem.hessian_blocks`: a stage-wise cost
-has a block-diagonal Hessian, and a solver can then work on each block
-alone.
+The connected components of the cost's curvature structure are kept as
+:attr:`Problem.hessian_blocks`: a stage-wise cost has a block-diagonal
+Hessian, and a solver can then work on each block alone.  They are taken
+from structure, without ∇²f: each residual couples the columns of its J
+row, and each entry j of ∇f_rest couples j with the X leaves it depends
+on.  That pattern contains both ∇²f's and ``J'CJ``'s.
 
 A k row whose M row has exactly one structural nonzero, a finite nonzero
 constant, bounds one variable: ``coef * X[col] + c >= 0``.  These rows are
@@ -148,51 +155,60 @@ def _least_squares(f: Node, x_set: frozenset) -> tuple[list, list, list]:
     return residuals, weights, rest
 
 
-def _transcribe(f: Expression, inequalities, equalities, x_leaves):
+def _transcribe(f: Node, inequalities, equalities, x_leaves):
     """Symbolic pieces of the canonical program, row labels and whether f is quadratic.
 
-    Every derivative comes from one ``_diff`` memo: the cost Hessian, the
-    residual Jacobian, the gradient of the rest of the cost, the row
-    Jacobians and the cost's structure test share each (node, leaf)
-    derivative, so none is built twice.  A row is linear when no entry of
-    its Jacobian row depends on X.  The memo is released on
-    return, before anything is compiled.  Each derivative piece holds only
-    its structural nonzeros, as the entries
-    :class:`~taskopt.expr.CompiledFunction` takes.
+    Every derivative comes from one ``_diff`` memo: the residual Jacobian,
+    the gradient of the rest of the cost, the rest's structure test and
+    the row Jacobians share each (node, leaf) derivative, so none is built
+    twice.  A row is linear when no entry of its Jacobian row depends on
+    X.  The memo is released on return, before anything is compiled.
+    Each derivative piece holds only its structural nonzeros, as the
+    entries :class:`~taskopt.expr.CompiledFunction` takes.  Nothing here
+    differentiates the whole cost: ∇²f is left to :meth:`Problem.hessian`.
 
     The cost is split by :func:`_least_squares`.  ``res`` holds the
     residuals and ``res_jac`` the residuals followed by their Jacobian's
     nonzeros, row by row, so one call gives both; ``f_rest`` and
     ``grad_rest`` are the rest of the cost and its gradient.  A cost with
     no residual is all rest.  The residual Jacobian's pattern and the
-    weights are returned as ``(rows, cols, weights)`` arrays, and
-    ``rest_curved`` tells whether the rest has second derivatives.
+    weights are returned as ``(rows, cols, weights)`` arrays.  f is
+    quadratic when no entry of that Jacobian depends on X and the rest
+    classifies as at most quadratic.  ``rest_couplings`` holds the flat
+    position ``j * n + col`` for each X leaf col that entry j of the
+    rest's gradient depends on, a pattern that contains ∇²f_rest's.
     """
     memo: dict = {}
     n = len(x_leaves)
     x_set = frozenset(x_leaves)
-    (grad,) = expr._jacobian(f.entries(), x_leaves, memo)
-    hess = expr._hessian(grad, x_leaves, memo)
-    pieces = {"hess": expr._sparse_entries(hess, n)}
-    quad_cost = expr._classify(f.entries(), x_set, memo) <= expr.StructureClass.QUADRATIC
-
-    residuals, weights, rest = _least_squares(f.entries()[0], x_set)
+    pieces = {}
+    residuals, weights, rest = _least_squares(f, x_set)
     jac = expr._jacobian(residuals, x_leaves, memo)
+    quad_cost = not any(expr._deps(node) & x_set for row in jac for _, node in row)
     m = len(residuals)
     if m:
         nodes = residuals + [node for row in jac for _, node in row]
         pieces["res"] = ((m, 1), list(range(m)), residuals)
         pieces["res_jac"] = ((1, len(nodes)), list(range(len(nodes))), nodes)
-    rest_curved = False
+    rest_couplings = []
     if rest:
         if m:
             f_rest = expr._ZERO
             for node, c in rest:
                 f_rest = expr._add(f_rest, expr._mul(expr._const(c), node))
-            (grad_rest,) = expr._jacobian([f_rest], x_leaves, memo)
         else:  # the whole cost is rest
-            f_rest, grad_rest = f.entries()[0], grad
-        rest_curved = any(expr._deps(node) & x_set for _, node in grad_rest)
+            f_rest = f
+        (grad_rest,) = expr._jacobian([f_rest], x_leaves, memo)
+        quad_cost = quad_cost and (
+            expr._classify([f_rest], x_set, memo) <= expr.StructureClass.QUADRATIC
+        )
+        cols = expr._columns(x_leaves)
+        rest_couplings = [
+            j * n + col
+            for j, node in grad_rest
+            for leaf in expr._deps(node) & x_set
+            for col in cols[leaf]
+        ]
         pieces["f_rest"] = ((1, 1), [0], [f_rest])
         pieces["grad_rest"] = expr._sparse_entries([grad_rest], n)
     pattern = (
@@ -216,7 +232,7 @@ def _transcribe(f: Expression, inequalities, equalities, x_leaves):
         if nonlin_rows:
             pieces[g] = Expression(stack[nonlin_rows])
             pieces[Jg] = expr._sparse_entries([J[i] for i in nonlin_rows], n)
-    return pieces, labels, quad_cost, pattern, rest_curved
+    return pieces, labels, quad_cost, pattern, rest_couplings
 
 
 def _bound_rows(entries, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -318,9 +334,12 @@ class Problem:
     order.  ``hessian_blocks`` partitions the columns of X into the
     connected components of the cost's curvature structure (see
     :func:`_hessian_blocks`): no entry of ∇²f or of ``J'CJ`` couples two
-    blocks.  The private ``_bounds`` holds the k rows that bound one
-    variable (see :func:`_bound_rows`), and ``_rest_curved`` whether the
-    rest of the cost has second derivatives, both fixed at build.
+    blocks.  The blocks come from the residuals' couplings and the
+    dependencies of ∇f_rest's entries, so the build makes no ∇²f; the
+    first :meth:`hessian` call builds and compiles it.  The private
+    ``_bounds`` holds the k rows that bound one variable (see
+    :func:`_bound_rows`), and ``_rest_curved`` whether the rest of the
+    cost has second derivatives, both fixed at build.
     """
 
     def __init__(
@@ -338,27 +357,29 @@ class Problem:
         if not objective_expr.is_scalar():
             raise ValueError("objective must be scalar")
 
-        symbolic, self.labels, quad_cost, pattern, self._rest_curved = _transcribe(
-            objective_expr, inequalities, equalities, decision.leaves()
+        # the cost and X's leaves, kept for ∇²f, which the first hessian call builds
+        self._f, self._x_leaves = objective_expr.entries()[0], decision.leaves()
+        self._hess = None
+        symbolic, self.labels, quad_cost, pattern, rest_couplings = _transcribe(
+            self._f, inequalities, equalities, self._x_leaves
         )
-        # the components of ∇²f's pattern, joined wherever a residual
-        # couples two columns, so that 2 J'CJ lies inside the blocks even
-        # where ∇²f cancels to zero
+        self._rest_curved = bool(rest_couplings)
+        # the columns each residual couples, joined with the rest's
+        # couplings: a pattern that contains both ∇²f's and 2 J'CJ's
         rows, cols, _ = pattern
         ends = np.searchsorted(rows, rows, side="left")  # each row's first nonzero
         couplings = (cols[ends] * self.n_x + cols).tolist()
-        self._hessian_blocks = _hessian_blocks(symbolic["hess"][1] + couplings, self.n_x)
+        self._hessian_blocks = _hessian_blocks(rest_couplings + couplings, self.n_x)
         self._weights = pattern[2]
         self._jac_pattern = rows, cols
         self._pairs = _gauss_newton_pairs(pattern, self._hessian_blocks, self.n_x)
         self._bounds = _bound_rows(symbolic.get("M", ((0, self.n_x), [], [])), self.n_x)
         p_layout = ("parameter", parameters.layout())
-        xp = (("variable", decision.layout()), p_layout)
+        self._xp = (("variable", decision.layout()), p_layout)
         fns = {}
         for name in list(symbolic):  # each derivative graph is released once compiled
-            layouts = (p_layout,) if name in _PARAMETER_ONLY else xp
+            layouts = (p_layout,) if name in _PARAMETER_ONLY else self._xp
             fns[name] = CompiledFunction(symbolic.pop(name), layouts)
-        self._hess = fns["hess"]
         self._res, self._res_jac = fns.get("res"), fns.get("res_jac")
         self._f_rest, self._grad_rest = fns.get("f_rest"), fns.get("grad_rest")
         # (bytes of X and P, residuals and Jacobian values) of the last gradient
@@ -450,8 +471,11 @@ class Problem:
         return g
 
     def hessian(self, X, P=()) -> np.ndarray:
-        """The exact ∇²f."""
+        """The exact ∇²f, built and compiled on the first call."""
         X, P = self._check(X, P)
+        if self._hess is None:
+            rows = expr._scalar_hessian(self._f, self._x_leaves)
+            self._hess = CompiledFunction(expr._sparse_entries(rows, self.n_x), self._xp)
         return self._hess(X, P)
 
     def _gauss_newton(self, X, P) -> tuple[np.ndarray, ...]:

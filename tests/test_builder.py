@@ -396,6 +396,7 @@ class TestHorizonGrowth:
         counts = []
         for T in (4, 8):
             p = horizon_task(T)[1].build()
+            p.hessian(np.zeros(p.n_x), np.zeros(p.n_p))  # ∇²f is compiled on its first call
             counts.append(np.array([handed[id(fn)] for fn in (p._hess, p._M, p._A)]))
         # a stage adds a fixed number of nonzeros; dense n x n or rows x n pieces grow about 4x
         assert (counts[1] <= 2.25 * counts[0]).all(), counts
@@ -412,6 +413,7 @@ class TestHorizonGrowth:
         counts, widths = [], []
         for T in (4, 8):
             p = horizon_task(T)[1].build()
+            p.hessian(np.zeros(p.n_x), np.zeros(p.n_p))  # ∇²f is compiled on its first call
             rows = [row for group in p.hessian_blocks for row in group]
             for group in p.hessian_blocks:
                 assert not group.flags.writeable
@@ -449,6 +451,84 @@ class TestHorizonGrowth:
         r, b = horizon_task(8)
         b.build()
         assert 0 < len(calls) <= len(to.extract_chain(r.urdf, r.base_link, "ee"))
+
+    def test_long_arm6_horizon_builds_and_evaluates(self):
+        # the receding-horizon arm6 task at a T whose velocity cost is a sum
+        # chain deeper than a recursive whole-cost derivative can walk
+        T = 200
+        robot = to.RobotModel(to.fixture_path("arm6"), tip="ee", name="arm6", time_derivs=(0, 1))
+        b = to.TaskBuilder(T, robots=[robot])
+        ref = b.add_parameter("ref", 3, T)
+        tracking = to.constant(0.0)
+        for t in range(T):
+            tip = robot.global_link_position("ee", b.get_model_state("arm6", t))
+            tracking = tracking + to.sumsqr(tip - ref[:, t])
+        b.add_cost_term("tracking", tracking)
+        b.add_cost_term("velocity", 1e-3 * to.sumsqr(b.model_block("arm6", 1)))
+        b.add_equality_constraint("init", b.get_model_state("arm6", 0), b.add_parameter("qc", 6))
+        b.integrate_model_states("arm6", 1, 0.1)
+        b.enforce_model_limits("arm6")
+        p = b.build()
+        assert p.n_x == 12 * T - 6
+
+        X, P = np.zeros(p.n_x), np.zeros(p.n_p)
+        tip = robot.global_link_position("ee", np.zeros(6))
+        assert p.objective(X, P) == pytest.approx(T * float(tip @ tip), rel=1e-12)
+        g = p.gradient(X, P)
+        assert g.shape == (p.n_x,) and np.isfinite(g).all()
+        k, a, _, _ = p.constraints(X, P)
+        assert np.isfinite(k).all() and np.abs(a).max() == 0.0
+        blocks = p._gauss_newton(X, P)
+        assert [v.shape[0] for v in blocks] == [group.shape[0] for group in p.hessian_blocks]
+        assert all(np.isfinite(v).all() for v in blocks)
+
+
+class TestSecondDerivativesOnDemand:
+    @staticmethod
+    def _track(arm6):
+        """The arm6 end-pose problem of the CLI's ``track``: goal, 1e-6 regulariser, limits."""
+        b = to.TaskBuilder(1, robots=[arm6])
+        q = b.get_model_state("arm6", 0)
+        goal = b.add_parameter("goal", 3)
+        nominal = b.add_parameter("nominal", 6)
+        b.add_cost_term("goal", to.sumsqr(arm6.global_link_position("ee", q) - goal))
+        b.add_cost_term("regularizer", 1e-6 * to.sumsqr(q - nominal))
+        b.enforce_model_limits("arm6")
+        return b
+
+    @pytest.mark.parametrize("task", ["horizon", "track"])
+    def test_hessian_is_built_on_its_first_call(self, monkeypatch, request, task):
+        if task == "horizon":
+            b = request.getfixturevalue("horizon_task")(6)[1]
+        else:
+            b = self._track(request.getfixturevalue("arm6"))
+        calls = []
+        hessian = expr._hessian
+
+        def counting(*args):
+            calls.append(args)
+            return hessian(*args)
+
+        monkeypatch.setattr(expr, "_hessian", counting)
+        p = b.build()
+        assert not calls, "a least-squares build makes no ∇²f"
+
+        rng = np.random.default_rng(11)
+        X, P = rng.uniform(-1.0, 1.0, p.n_x), rng.uniform(-1.0, 1.0, p.n_p)
+        H = p.hessian(X, P)
+        assert p.hessian(X, P).tobytes() == H.tobytes()
+        assert len(calls) == 1
+
+        # the same bytes as the symbolic ∇²f of the cost the builder sums
+        f = to.constant(0.0)
+        for term in b._costs.values():
+            f = f + term
+        x = [p.decision.block(name) for name in p.decision.names()]
+        bindings = {
+            **p.decision.devectorize(X, squeeze=False),
+            **p.parameters.devectorize(P, squeeze=False),
+        }
+        assert H.tobytes() == to.evaluate(to.hessian(f, x), bindings).tobytes()
 
 
 def _arm():

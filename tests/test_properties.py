@@ -565,6 +565,55 @@ class TestLeastSquaresSplit:
             assert np.isnan(got_g).all()
 
 
+@st.composite
+def split_costs(draw):
+    """A TaskBuilder whose one cost term is ``sum c (r r) + rest`` over random DAG nodes of x (3) and p (2).
+
+    Each summand is a weighted square of a node that depends on x, or the
+    product of two nodes, which may be a square and may not depend on x.
+    """
+    b = to.TaskBuilder(T=1)
+    x = b.add_decision_variables("x", 3)
+    p = b.add_parameter("p", 2)
+    pool = [x._n[i, 0] for i in range(3)] + [p._n[j, 0] for j in range(2)]
+    pool += [_raw_const(v) for v in draw(st.lists(_values, min_size=1, max_size=3))]
+    grown = _grow(draw, list(pool), max_ops=4)
+    leaves = frozenset(pool[:3])
+    nodes = st.sampled_from(grown)
+    residuals = st.sampled_from([n for n in grown if expr._deps(n) & leaves])
+    total = expr._ZERO
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            r = draw(residuals)
+            weight = expr._const(draw(st.sampled_from((1e-3, 0.5, 2.0))))
+            term = expr._mul(weight, expr._mul(r, r))
+        else:
+            term = expr._mul(draw(nodes), draw(nodes))
+        total = expr._add(total, term)
+    f = Expression(np.array([[total]], dtype=object))
+    b.add_cost_term("f", f)
+    return b, x, f
+
+
+class TestCurvatureStructure:
+    @_PROPERTY
+    @given(task=split_costs())
+    def test_hessian_blocks_and_class_without_the_hessian(self, task):
+        b, x, f = task
+        prob = b.build()
+        event(f"{prob._weights.size} residuals, rest {prob._f_rest is not None}")
+        block_of = np.full(3, -1)
+        for k, cols in enumerate(row for group in prob.hessian_blocks for row in group):
+            block_of[cols] = k
+        structural = [[node is not expr._ZERO for node in row] for row in to.hessian(f, x)._n]
+        i, j = np.nonzero(structural)
+        assert (block_of[i] == block_of[j]).all()
+        # the whole cost's classify is the oracle for the class taken from the split
+        quadratic = to.classify(f, x) <= to.StructureClass.QUADRATIC
+        event(f"quadratic {quadratic}")
+        assert (prob.classification is to.ProblemClass.UNCONSTRAINED_QUADRATIC) == quadratic
+
+
 def _mixed_qp(rng, n, m_in, m_eq):
     """A strictly convex QP with inequality and equality rows and a known feasible point."""
     G = rng.normal(size=(n, n))
