@@ -31,6 +31,7 @@ import enum
 import math
 import numbers
 import operator
+import struct
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -347,6 +348,31 @@ def _postorder(roots: Iterable[Node]) -> dict[int, Node]:
             out[id(n)] = n
             stack.pop()
     return out
+
+
+def _shape_key(root: Node) -> tuple[tuple, list[Node]]:
+    """The DAG under ``root`` as a hashable key, and its leaves in order of first use.
+
+    The key lists the nodes in :func:`_postorder`'s order, each as its
+    opcode with the bits of a constant, the number of a leaf (leaves are
+    numbered in order of first use) or the places of its operands in the
+    list.  Two DAGs have equal keys exactly when one is the other with its
+    leaves renamed, so their derivatives by matching leaves are the same
+    graph and evaluate to the same bits.
+    """
+    walk = _postorder((root,))
+    place = dict(zip(walk, range(len(walk))))
+    leaves: list[Node] = []
+    key = []
+    for n in walk.values():
+        if n.op == _CONST:
+            key.append((_CONST, struct.pack("<d", n.val)))
+        elif n.op == _LEAF:
+            key.append((_LEAF, len(leaves)))
+            leaves.append(n)
+        else:
+            key.append((n.op, place[id(n.a)], -1 if n.b is None else place[id(n.b)]))
+    return tuple(key), leaves
 
 
 def _deps(n: Node) -> frozenset:
@@ -894,14 +920,9 @@ def hessian(e, wrt) -> Expression:
     if not e.is_scalar():
         raise ValueError("hessian requires a scalar expression")
     leaves = _leaf_list(wrt)
-    return _dense(_scalar_hessian(e._n[0, 0], leaves), len(leaves))
-
-
-def _scalar_hessian(f: Node, leaves: Sequence[Node]) -> list[list]:
-    """Sparse symmetric Hessian of the scalar node ``f``: its gradient, then the Hessian, on one fresh memo."""
-    cache: dict = {}
-    (grad,) = _jacobian([f], leaves, cache)
-    return _hessian(grad, leaves, cache)
+    cache: dict = {}  # the gradient, then the Hessian, on one fresh memo
+    (grad,) = _jacobian([e._n[0, 0]], leaves, cache)
+    return _dense(_hessian(grad, leaves, cache), len(leaves))
 
 
 def _hessian(grad: list, leaves: Sequence[Node], cache: dict) -> list[list]:
@@ -1146,7 +1167,9 @@ class CompiledFunction:
     the given nodes are compiled; every other entry of the output is +0.0.
     An expression is taken as its entries that are not +0.0, so a -0.0
     constant keeps its sign.  A node given at several positions is
-    computed once.
+    computed once.  When the positions fill the output in order, the
+    output is built from one gathered tuple of every entry, constants
+    included, instead of being scattered into zeros.
     """
 
     def __init__(self, e, layouts: Sequence[tuple[str, Mapping[str, tuple[int, int, int]]]]):
@@ -1187,6 +1210,14 @@ class CompiledFunction:
         self._var_get = operator.itemgetter(*var_pos) if var_pos else None
         self._const_idx = np.array(const_idx, dtype=np.intp)
         self._const_val = np.array(const_val, dtype=float)
+        # an output whose positions fill it in order is one gathered tuple
+        # of every entry, constants included, with no zeros and no scatter
+        size = math.prod(self.shape)
+        in_order = size > 0 and len(positions) == size and all(
+            k == i for i, k in enumerate(positions)
+        )
+        self._out_pos = [index[id(n)] for n in nodes] if in_order else None
+        self._get = operator.itemgetter(*self._out_pos) if in_order else None
 
         self._calls = 0
         self._chunks = None  # the generated code, once made
@@ -1208,25 +1239,39 @@ class CompiledFunction:
         # Python floats, not numpy scalars, so x / 0 and a negative base to
         # a fractional power raise (a fault) instead of giving inf or NaN.
         vectors = [np.asarray(v, dtype=float).tolist() for v in vectors]
-        if self._chunks is None:
-            self._calls += 1
-            if self._calls == _GENERATE_ON_CALL:
-                self._generate()
         try:
-            if self._chunks is None:
-                vals = self._run_tape(vectors)
-            else:
-                vals = [0.0] * self._n_slots
-                for chunk in self._chunks:
-                    chunk(vals, vectors)
+            vals = self._run(vectors)
         except (ArithmeticError, ValueError):
             return np.full(self.shape, np.nan)
+        if self._get is not None:
+            return np.array(self._get(vals), dtype=float).reshape(self.shape)
         out = np.zeros(self.shape, dtype=float)
         if self._const_idx.size:
             out.flat[self._const_idx] = self._const_val
         if self._var_get is not None:
             out.flat[self._var_idx] = self._var_get(vals)
         return out
+
+    def _entries(self, vectors):
+        """The output of an in-order function as a tuple of its entries, or one float.
+
+        ``vectors`` are lists of Python floats.  An arithmetic fault raises.
+        """
+        vals = self._run(vectors)  # first: the call that generates code changes ``_get``
+        return self._get(vals)
+
+    def _run(self, vectors) -> list:
+        """The values of the tape or of the generated code; an arithmetic fault raises."""
+        if self._chunks is None:
+            self._calls += 1
+            if self._calls == _GENERATE_ON_CALL:
+                self._generate()
+            else:
+                return self._run_tape(vectors)
+        vals = self._slot_init.copy()
+        for chunk in self._chunks:
+            chunk(vals, vectors)
+        return vals
 
     def _run_tape(self, vectors) -> list:
         vals = self._init.copy()
@@ -1264,6 +1309,14 @@ class CompiledFunction:
     def _generate(self) -> None:
         """Replace the tape by its straight-line code, compiled in chunks."""
         head, lines, slots, names = self._source()
+        self._slot_init = [0.0] * len(lines)
+        if self._out_pos is not None:
+            # constant outputs get slots after the code's, holding their values
+            for p in self._out_pos:
+                if p not in slots:
+                    slots[p] = len(self._slot_init)
+                    self._slot_init.append(self._init[p])
+            self._get = operator.itemgetter(*(slots[p] for p in self._out_pos))
         # the tape is not run again; release it before compiling
         self._tape = self._init = None
         chunks, body, size = [], [], 0

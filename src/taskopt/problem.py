@@ -29,7 +29,10 @@ one call.  A solver's curvature comes from the same J: the private
 :meth:`Problem._gauss_newton` forms ``2 J'CJ`` block by block from the
 values the last gradient left.  :meth:`Problem.hessian` stays the exact
 ∇²f, the only second derivative compiled, and it is built and compiled on
-its first call, from a memo of its own.  Whether f is quadratic follows
+its first call, one template at a time (:func:`_hessian_templates`): the
+curvature blocks whose parts of f are one graph up to renamed leaves,
+such as a horizon's stages, share one derivative and one compiled
+function, run once per block.  Whether f is quadratic follows
 from the split: no entry of J depends on X and f_rest classifies as at
 most quadratic.
 
@@ -323,6 +326,187 @@ def _gauss_newton_pairs(pattern, blocks, n: int):
     return first, second, 2.0 * weights[rows[first]], target, tuple(groups)
 
 
+def _block_costs(f: Node, block_of: dict) -> dict[int, Node]:
+    """The part of the cost f that each curvature block sees, keyed by the block's number.
+
+    ``block_of`` maps each X leaf to the number of its block.  The spine
+    of f is the nodes ``_diff`` passes through on the way to a summand:
+    ``_ADD``, ``_SUB``, ``_NEG``, and ``_MUL`` with one side free of X.
+    Every other node reached through the spine is a term, and a term
+    touches the blocks of the X leaves it depends on.  A block's sub-cost
+    is f with every side that touches none of the block's columns dropped,
+    folded as ``_diff`` folds that side's zero derivative: a sum left with
+    one side is that side, and ``a - b`` left with b is ``-b``.  So the
+    derivative of f by a leaf of the block is, node for node, that of the
+    block's sub-cost, up to constants folded to the same value.  A block
+    that no term touches has no sub-cost.
+
+    One pass marks X-dependence over f's DAG.  The sub-costs are then
+    built bottom-up over the spine, rebuilt through the smart
+    constructors, and each sum merges the smaller of its sides' dicts into
+    the larger, so a long sum chain costs about its length.
+    """
+    walk = expr._postorder((f,))
+    x_dep: dict[int, bool] = {}
+    for key, n in walk.items():
+        if n.op == expr._LEAF:
+            x_dep[key] = n in block_of
+        elif n.op == expr._CONST:
+            x_dep[key] = False
+        else:
+            x_dep[key] = x_dep[id(n.a)] or (n.b is not None and x_dep[id(n.b)])
+
+    def operands(n: Node) -> tuple | None:
+        """The X-dependent operands of a spine node, or None for a term."""
+        if n.op in (expr._ADD, expr._SUB, expr._NEG):
+            return tuple(c for c in (n.a, n.b) if c is not None and x_dep[id(c)])
+        if n.op == expr._MUL and not (x_dep[id(n.a)] and x_dep[id(n.b)]):
+            return (n.b,) if x_dep[id(n.b)] else (n.a,)
+        return None
+
+    # consumers come before operands in reverse: count each node's uses on the spine
+    uses: dict[int, int] = {id(f): 1} if x_dep[id(f)] else {}
+    for key in reversed(walk):
+        if key in uses:
+            for c in operands(walk[key]) or ():
+                uses[id(c)] = uses.get(id(c), 0) + 1
+
+    costs: dict[int, dict] = {}
+
+    def take(c: Node) -> dict:
+        """An operand's sub-costs, as a dict the caller may change."""
+        uses[id(c)] -= 1
+        return dict(costs[id(c)]) if uses[id(c)] else costs.pop(id(c))
+
+    for key, n in walk.items():
+        if key not in uses:
+            continue
+        ops = operands(n)
+        if ops is None:
+            costs[key] = {block_of[leaf]: n for leaf in expr._deps(n) if leaf in block_of}
+        elif len(ops) == 1:
+            d = take(ops[0])
+            if n.op == expr._MUL:
+                a, b = n.a, n.b
+                costs[key] = {
+                    k: expr._mul(s, b) if a is ops[0] else expr._mul(a, s) for k, s in d.items()
+                }
+            elif n.op == expr._NEG or (n.op == expr._SUB and n.a is not ops[0]):
+                costs[key] = {k: expr._neg(s) for k, s in d.items()}
+            else:  # a sum with one side left
+                costs[key] = d
+        else:
+            da, db = take(n.a), take(n.b)
+            if n.op == expr._ADD and len(db) > len(da):
+                for k, s in da.items():
+                    t = db.get(k)
+                    db[k] = s if t is None else expr._add(s, t)
+                costs[key] = db
+            else:
+                make = expr._add if n.op == expr._ADD else expr._sub
+                for k, s in db.items():
+                    t = da.get(k)
+                    if t is not None:
+                        da[k] = make(t, s)
+                    else:
+                        da[k] = s if n.op == expr._ADD else expr._neg(s)
+                costs[key] = da
+    return costs.get(id(f), {})
+
+
+class _Template(NamedTuple):
+    """The ∇²f entries of the cost blocks whose sub-costs are one graph up to renamed leaves.
+
+    ``fn`` maps one instance's slot values to the template's entries
+    (i, j >= i), in order.  Row r of ``inputs`` holds the places in
+    ``[X; P]`` of instance r's slots; ``upper`` holds the flat positions in
+    H of every instance's entries, instance by instance, and ``lower``
+    those of their mirrors.
+    """
+
+    fn: CompiledFunction
+    inputs: np.ndarray
+    upper: np.ndarray
+    lower: np.ndarray
+
+
+def _hessian_templates(f: Node, x_leaves, blocks, layouts) -> tuple[_Template, ...]:
+    """∇²f as templates of the cost blocks, with one compiled function each.
+
+    Each block's sub-cost (:func:`_block_costs`) is keyed by its graph
+    with leaves renamed in order of first use (:func:`expr._shape_key`),
+    each slot's kind (X or P), and the slots of the X leaves in column
+    order with whether each is a column of the block.  That order matters:
+    entry (i, j >= i) is the derivative of ∂f/∂x_i by x_j, not the other
+    way round.  Blocks with equal keys are instances of one template.  The
+    first instance's sub-cost is rebuilt over fresh slot leaves and
+    differentiated by its block's slots, and every template's gradient
+    rows go through one ``expr._hessian`` call on one memo.
+    """
+    n = len(x_leaves)
+    block_of = {}
+    for k, cols in enumerate(row for group in blocks for row in group):
+        for col in cols.tolist():
+            block_of[x_leaves[col]] = k
+    col_of = {leaf: j for j, leaf in enumerate(x_leaves)}
+    costs = _block_costs(f, block_of)
+
+    def place(leaf: Node) -> int:
+        """A leaf's place in ``[X; P]``."""
+        vector, at = CompiledFunction._locate(leaf, layouts)
+        return vector * n + at
+
+    # key -> (the first instance's sub-cost, every instance's (leaves, columns))
+    templates: dict[tuple, tuple[Node, list]] = {}
+    for k in sorted(costs):
+        shape, leaves = expr._shape_key(costs[k])
+        cols = [col_of.get(leaf, -1) for leaf in leaves]
+        x_slots = sorted((s for s, col in enumerate(cols) if col >= 0), key=cols.__getitem__)
+        own = tuple(block_of[leaves[s]] == k for s in x_slots)
+        key = (shape, tuple(col >= 0 for col in cols), tuple(x_slots), own)
+        templates.setdefault(key, (costs[k], []))[1].append((leaves, cols))
+    del costs
+
+    cache: dict = {}
+    slot_leaves: list[Node] = []  # every template's X slots, each template's in column order
+    grad, built = [], []
+    for (_, _, x_slots, own), (cost, instances) in templates.items():
+        leaves = instances[0][0]
+        slots = expr.variable("slots", len(leaves)).entries()
+        (cost,) = expr._rebuild([cost], {id(leaf): slots[s] for s, leaf in enumerate(leaves)})
+        offset = len(slot_leaves)
+        slot_leaves += [slots[s] for s in x_slots]
+        own_cols = {slots[s]: [offset + i] for i, s in enumerate(x_slots) if own[i]}
+        grad += expr._row_derivatives(cost, slot_leaves, own_cols, cache)
+        built.append((offset, x_slots, len(leaves), instances))
+    rows = expr._hessian(grad, slot_leaves, cache)
+    del cache, grad
+
+    out = []
+    for offset, x_slots, width, instances in built:
+        entries = [
+            (i - offset, j - offset, d)
+            for i in range(offset, offset + len(x_slots))
+            for j, d in rows[i]
+            if j >= i
+        ]
+        if not entries:
+            continue
+        nodes = [d for _, _, d in entries]
+        fn = CompiledFunction(
+            ((1, len(nodes)), range(len(nodes)), nodes), (("variable", {"slots": (0, width, 1)}),)
+        )
+        inputs = np.array(
+            [[place(leaf) for leaf in leaves] for leaves, _ in instances], dtype=np.intp
+        )
+        x_cols = np.array([[cols[s] for s in x_slots] for _, cols in instances], dtype=np.intp)
+        a = [i for i, _, _ in entries]
+        b = [j for _, j, _ in entries]
+        ci, cj = x_cols[:, a], x_cols[:, b]
+        out.append(_Template(fn, inputs, (ci * n + cj).ravel(), (cj * n + ci).ravel()))
+    return tuple(out)
+
+
 class Problem:
     """Compiled canonical problem over flat vectors X (decision) and P (parameter).
 
@@ -471,12 +655,26 @@ class Problem:
         return g
 
     def hessian(self, X, P=()) -> np.ndarray:
-        """The exact ∇²f, built and compiled on the first call."""
+        """The exact ∇²f, built and compiled on the first call, one template at a time.
+
+        Each template (:func:`_hessian_templates`) gives its entries for
+        each instance from that instance's slots of ``[X; P]``; they are
+        put at (i, j >= i) and mirrored.  An arithmetic fault in any
+        instance makes all of H NaN.
+        """
         X, P = self._check(X, P)
         if self._hess is None:
-            rows = expr._scalar_hessian(self._f, self._x_leaves)
-            self._hess = CompiledFunction(expr._sparse_entries(rows, self.n_x), self._xp)
-        return self._hess(X, P)
+            self._hess = _hessian_templates(self._f, self._x_leaves, self._hessian_blocks, self._xp)
+        H = np.zeros((self.n_x, self.n_x))
+        XP = np.concatenate([X, P])
+        try:
+            for fn, inputs, upper, lower in self._hess:
+                values = np.array([fn._entries([row]) for row in XP[inputs].tolist()]).ravel()
+                H.flat[upper] = values
+                H.flat[lower] = values
+        except (ArithmeticError, ValueError):
+            return np.full((self.n_x, self.n_x), np.nan)
+        return H
 
     def _gauss_newton(self, X, P) -> tuple[np.ndarray, ...]:
         """``2 J'CJ`` of the residuals, one ``(k, b, b)`` array per group of :attr:`hessian_blocks`.

@@ -381,6 +381,23 @@ class TestIntegration:
         assert np.abs(a - expected).max() <= 1e-14
 
 
+def _arm6_horizon(T):
+    """The receding-horizon arm6 task: stage-wise tip tracking, rate cost 1e-3, Euler steps, limits, pinned start."""
+    robot = to.RobotModel(to.fixture_path("arm6"), tip="ee", name="arm6", time_derivs=(0, 1))
+    b = to.TaskBuilder(T, robots=[robot])
+    ref = b.add_parameter("ref", 3, T)
+    tracking = to.constant(0.0)
+    for t in range(T):
+        tip = robot.global_link_position("ee", b.get_model_state("arm6", t))
+        tracking = tracking + to.sumsqr(tip - ref[:, t])
+    b.add_cost_term("tracking", tracking)
+    b.add_cost_term("velocity", 1e-3 * to.sumsqr(b.model_block("arm6", 1)))
+    b.add_equality_constraint("init", b.get_model_state("arm6", 0), b.add_parameter("qc", 6))
+    b.integrate_model_states("arm6", 1, 0.1)
+    b.enforce_model_limits("arm6")
+    return b.build()
+
+
 class TestHorizonGrowth:
     def test_compiled_entries_grow_linearly(self, monkeypatch, horizon_task):
         # entries handed to CompiledFunction: nonzeros for a sparse piece,
@@ -397,19 +414,12 @@ class TestHorizonGrowth:
         for T in (4, 8):
             p = horizon_task(T)[1].build()
             p.hessian(np.zeros(p.n_x), np.zeros(p.n_p))  # ∇²f is compiled on its first call
-            counts.append(np.array([handed[id(fn)] for fn in (p._hess, p._M, p._A)]))
+            hess = sum(handed[id(template.fn)] for template in p._hess)  # one function per template
+            counts.append(np.array([hess, handed[id(p._M)], handed[id(p._A)]]))
         # a stage adds a fixed number of nonzeros; dense n x n or rows x n pieces grow about 4x
         assert (counts[1] <= 2.25 * counts[0]).all(), counts
 
-    def test_hessian_blocks_follow_the_stages(self, monkeypatch, horizon_task):
-        hess_positions = {}
-
-        class Recording(CompiledFunction):
-            def __init__(self, e, layouts):
-                super().__init__(e, layouts)
-                hess_positions[id(self)] = e[1] if isinstance(e, tuple) else None
-
-        monkeypatch.setattr(problem, "CompiledFunction", Recording)
+    def test_hessian_blocks_follow_the_stages(self, horizon_task):
         counts, widths = [], []
         for T in (4, 8):
             p = horizon_task(T)[1].build()
@@ -425,7 +435,8 @@ class TestHorizonGrowth:
                 block_of[row] = k
             assert (block_of >= 0).all()
             # ...that no structural nonzero of the Hessian crosses
-            i, j = np.divmod(np.array(hess_positions[id(p._hess)]), p.n_x)
+            # the upper entries every template puts in H, instance by instance
+            i, j = np.divmod(np.concatenate([template.upper for template in p._hess]), p.n_x)
             assert i.size and (block_of[i] == block_of[j]).all()
             counts.append(len(rows))
             widths.append(max(row.size for row in rows))
@@ -481,6 +492,27 @@ class TestHorizonGrowth:
         blocks = p._gauss_newton(X, P)
         assert [v.shape[0] for v in blocks] == [group.shape[0] for group in p.hessian_blocks]
         assert all(np.isfinite(v).all() for v in blocks)
+
+    def test_long_arm6_horizon_hessian_repeats_the_first_stage(self):
+        # the exact ∇²f at a T whose sum chains are deeper than a recursive
+        # whole-cost derivative can walk: each stage is one template instance
+        rng = np.random.default_rng(24)
+        q0, ref0 = rng.uniform(-1.0, 1.0, 6), rng.uniform(-1.0, 1.0, 3)
+        first_stage = []
+        for T in (10, 200):
+            p = _arm6_horizon(T)
+            q, dq = rng.uniform(-1.0, 1.0, (6, T)), rng.uniform(-1.0, 1.0, (6, T - 1))
+            ref = rng.uniform(-1.0, 1.0, (3, T))
+            q[:, 0], ref[:, 0] = q0, ref0
+            X = p.decision.vectorize({"arm6/0": q, "arm6/1": dq})
+            P = p.parameters.vectorize({"ref": ref, "qc": q0})
+            H = p.hessian(X, P)
+            assert np.isfinite(H).all() and H.tobytes() == H.T.copy().tobytes()
+            # stage 0: the first state's columns and the first rate's
+            layout = p.decision.layout()
+            cols = np.concatenate([layout[name][0] + np.arange(6) for name in ("arm6/0", "arm6/1")])
+            first_stage.append(H[np.ix_(cols, cols)])
+        assert first_stage[1].tobytes() == first_stage[0].tobytes()
 
 
 class TestSecondDerivativesOnDemand:

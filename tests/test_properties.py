@@ -614,6 +614,85 @@ class TestCurvatureStructure:
         assert (prob.classification is to.ProblemClass.UNCONSTRAINED_QUADRATIC) == quadratic
 
 
+@st.composite
+def repeated_costs(draw):
+    """A TaskBuilder whose cost repeats one random summand on k >= 2 disjoint leaf sets, plus a distinct one.
+
+    The summand is a random DAG node over stand-in leaves u (2), q and c,
+    plus ``q / (u[0] u[1])``, so that ``u[0] = 0`` faults its Hessian.  Each copy
+    is rebuilt with u as its own x leaves in a drawn order, q as its own p
+    leaf and c as a drawn constant, so copies share a graph up to renamed
+    leaves and may differ in their columns' order and their constants.
+    The copies are nested in a random tree of sums and differences, each
+    perhaps scaled by a constant.  The distinct summand is a random DAG
+    node over a fresh x leaf z and the leaves of copy 0.  Returns the
+    builder, the cost and, per copy, the decision name and row of its
+    ``u[0]``.
+    """
+    k = draw(st.integers(2, 4))
+    b = to.TaskBuilder(T=1)
+    xs = [b.add_decision_variables(f"x{i}", 2) for i in range(k)]
+    ps = [b.add_parameter(f"p{i}") for i in range(k)]
+    z = b.add_decision_variables("z")
+    u = to.variable("u", 2).entries()
+    q, c = to.parameter("q").entries()[0], to.parameter("c").entries()[0]
+    pool = u + [q, c] + [_raw_const(v) for v in draw(st.lists(_values, min_size=1, max_size=2))]
+    grown = _grow(draw, list(pool), max_ops=6)[len(pool):]
+    summand = expr._add(draw(st.sampled_from(grown)), expr._div(q, expr._mul(u[0], u[1])))
+    copies, faults = [], []
+    for i in range(k):
+        order = draw(st.permutations((0, 1)))
+        x_i = xs[i].entries()
+        leaf_map = {
+            id(u[0]): x_i[order[0]],
+            id(u[1]): x_i[order[1]],
+            id(q): ps[i].entries()[0],
+            id(c): expr._const(draw(st.sampled_from((0.5, 2.0, -3.0)))),
+        }
+        copies += expr._rebuild([summand], leaf_map)
+        faults.append((f"x{i}", order[0]))
+
+    def nest(terms):
+        if len(terms) == 1:
+            return terms[0]
+        cut = draw(st.integers(1, len(terms) - 1))
+        make = expr._MAKE[draw(st.sampled_from((expr._ADD, expr._SUB)))]
+        node = make(nest(terms[:cut]), nest(terms[cut:]))
+        if draw(st.booleans()):
+            node = expr._mul(expr._const(draw(st.sampled_from((0.5, -2.0, 1e-3)))), node)
+        return node
+
+    own = z.entries() + xs[0].entries() + ps[0].entries()
+    distinct = draw(st.sampled_from(_grow(draw, list(own), max_ops=4)[len(own):]))
+    f = Expression(np.array([[expr._add(nest(copies), distinct)]], dtype=object))
+    b.add_cost_term("f", f)
+    return b, f, faults
+
+
+class TestHessianTemplates:
+    @_PROPERTY
+    @given(task=repeated_costs(), data=st.data())
+    def test_hessian_matches_the_whole_cost(self, task, data):
+        b, f, faults = task
+        prob = b.build()
+        x = [prob.decision.block(name) for name in prob.decision.names()]
+        X = np.array(data.draw(st.lists(_values, min_size=prob.n_x, max_size=prob.n_x)))
+        P = np.array(data.draw(st.lists(_values, min_size=prob.n_p, max_size=prob.n_p)))
+        # the same point but with one copy's u[0] at 0, which faults that instance
+        name, row = data.draw(st.sampled_from(faults))
+        faulted = X.copy()
+        faulted[prob.decision.layout()[name][0] + row] = 0.0
+        for point in (X, faulted):
+            bindings = {
+                **prob.decision.devectorize(point, squeeze=False),
+                **prob.parameters.devectorize(P, squeeze=False),
+            }
+            want = to.evaluate(to.hessian(f, x), bindings)
+            assert prob.hessian(point, P).tobytes() == want.tobytes()
+        assert np.isnan(want).all()
+        event(f"{sum(len(t.inputs) for t in prob._hess)} instances of {len(prob._hess)} templates")
+
+
 def _mixed_qp(rng, n, m_in, m_eq):
     """A strictly convex QP with inequality and equality rows and a known feasible point."""
     G = rng.normal(size=(n, n))
