@@ -356,18 +356,30 @@ def _shape_key(root: Node) -> tuple[tuple, list[Node]]:
     The key lists the nodes in :func:`_postorder`'s order, each as its
     opcode with the bits of a constant, the number of a leaf (leaves are
     numbered in order of first use) or the places of its operands in the
-    list.  Two DAGs have equal keys exactly when one is the other with its
-    leaves renamed, so their derivatives by matching leaves are the same
-    graph and evaluate to the same bits.
+    list.  Constants are listed once per bit pattern, so whether equal
+    constants are one node or several does not show: ``_mul(x, 1)``
+    returns ``x`` itself, but when x is a constant it folds to a new node,
+    so a graph rebuilt with constants in place of leaves may share a
+    constant that building on those constants makes twice.  Two DAGs have
+    equal keys exactly when one is the other with its leaves renamed and
+    its equal constants merged or split, so their derivatives by matching
+    leaves evaluate to the same bits.
     """
     walk = _postorder((root,))
-    place = dict(zip(walk, range(len(walk))))
+    place: dict[int, int] = {}
+    consts: dict[bytes, int] = {}
     leaves: list[Node] = []
     key = []
-    for n in walk.values():
+    for k, n in walk.items():
         if n.op == _CONST:
-            key.append((_CONST, struct.pack("<d", n.val)))
-        elif n.op == _LEAF:
+            bits = struct.pack("<d", n.val)
+            if bits not in consts:
+                consts[bits] = len(key)
+                key.append((_CONST, bits))
+            place[k] = consts[bits]
+            continue
+        place[k] = len(key)
+        if n.op == _LEAF:
             key.append((_LEAF, len(leaves)))
             leaves.append(n)
         else:
@@ -1028,10 +1040,16 @@ def _at_zero(e: Expression, leaves: Sequence[Node]) -> Expression:
 # -- graph rewriting -----------------------------------------------------------
 
 
-def _rebuild(roots: Sequence[Node], leaf_map: Mapping[int, Node]) -> list[Node]:
-    """Bottom-up reconstruction through the smart constructors."""
+def _rebuild(
+    roots: Sequence[Node], leaf_map: Mapping[int, Node], walk: Mapping[int, Node] | None = None
+) -> list[Node]:
+    """Bottom-up reconstruction through the smart constructors.
+
+    ``walk`` is ``_postorder(roots)``, for a caller that rebuilds the same
+    roots many times.
+    """
     out: dict[int, Node] = {}
-    for key, n in _postorder(roots).items():
+    for key, n in (_postorder(roots) if walk is None else walk).items():
         if n.op == _CONST:
             out[key] = n
         elif n.op == _LEAF:

@@ -5,11 +5,17 @@ and manipulability measures.  Joint states may be supplied symbolically
 (expressions, typically builder state columns) or numerically; numeric
 input yields numeric output.
 
-A numeric query is compiled lazily: its first call with numeric input
-builds the symbolic expression once, over a joint variable ``__robot_q``,
-and caches it as a :class:`~taskopt.expr.CompiledFunction` per (query,
-link, rows).  Later calls run the cached function (its tape, then its
-generated code); registering a base offset or tip frame clears the cache.  For finite joint states the result is
+Each query is built once per (query, link, rows) as a template: its
+expression over the model's placeholder joint variable ``__robot_q``,
+with the post-order of its entries.  A symbolic call instantiates the
+template in one pass over that post-order through the smart
+constructors, with the placeholders replaced by the caller's joint
+entries; the instance is the graph building the query on those entries
+gives, up to which equal constants are one node.  A numeric call runs a
+:class:`~taskopt.expr.CompiledFunction` of the template, compiled on the
+first numeric call and cached per (query, link, rows) (its tape, then its
+generated code).  Registering a base offset or tip frame clears both
+caches.  For finite joint states the result is
 bit-identical to substituting the numbers into the symbolic expression
 (outputs never carry a -0.0).  Non-finite joint states follow the
 compiled function's rules, not constant folding's: the graph was simplified symbolically, so
@@ -21,11 +27,12 @@ from __future__ import annotations
 
 import math
 import os
+from typing import NamedTuple
 
 import numpy as np
 
 from . import expr, spatial
-from .expr import Expression, as_expression
+from .expr import Expression, Node, as_expression
 from .urdf import (
     UrdfError,
     UrdfJoint,
@@ -50,6 +57,14 @@ def _coerce_urdf(source) -> UrdfModel:
     raise TypeError(f"cannot build a robot from {type(source).__name__}")
 
 
+class _Template(NamedTuple):
+    """A query's expression over the placeholder joints, its entries and their post-order."""
+
+    e: Expression
+    roots: list[Node]
+    walk: dict[int, Node]
+
+
 class RobotModel:
     """Kinematics of one robot, with optional extra base/tip frames.
 
@@ -68,6 +83,11 @@ class RobotModel:
         robot (0 = positions, 1 = velocities, ...).
     name:
         Model name used in the builder; defaults to the URDF robot name.
+
+    Every query is a template, built on its first call per (query, link,
+    rows) over placeholder joints: a symbolic call instantiates it at the
+    given joint entries, so a horizon's stages build the forward
+    kinematics once, and a numeric call runs its compiled function.
     """
 
     def __init__(self, urdf, base=None, tip=None, time_derivs=(0,), name=None):
@@ -95,6 +115,10 @@ class RobotModel:
 
         self._base_offset: Expression | None = None
         self._extra_tips: dict[str, tuple[str, Expression]] = {}
+        # the placeholder joints every template is built over; a robot
+        # without actuated joints has none
+        self._q = expr.variable("__robot_q", len(joints)) if joints else expr.constant(np.zeros(0))
+        self._templates: dict[tuple, _Template] = {}
         self._compiled: dict[tuple, expr.CompiledFunction] = {}
         self._origins: dict[str, tuple[np.ndarray, Expression]] = {}
 
@@ -149,6 +173,7 @@ class RobotModel:
         if T.shape != (4, 4):
             raise ValueError("base offset must be a 4x4 transform")
         self._base_offset = T
+        self._templates.clear()
         self._compiled.clear()
         return self
 
@@ -161,6 +186,7 @@ class RobotModel:
         if link_name in self.urdf.links or link_name in self._extra_tips:
             raise ValueError(f"link name {link_name!r} already in use")
         self._extra_tips[link_name] = (parent_link, T)
+        self._templates.clear()
         self._compiled.clear()
         return self
 
@@ -168,7 +194,7 @@ class RobotModel:
         if link not in self.urdf.links:
             raise UrdfError(f"unknown link {link!r}")
 
-    # forward kinematics ----------------------------------------------------
+    # templates -----------------------------------------------------------
     def _check_ndof(self, rows: int) -> None:
         if rows != self.ndof:
             raise ValueError(f"joint state must have {self.ndof} entries, got {rows}")
@@ -178,30 +204,59 @@ class RobotModel:
         self._check_ndof(qe.rows)
         return qe
 
-    def _numeric(self, query, link: str, q, *args) -> np.ndarray:
-        """``query(link, q, *args)`` at numeric ``q``.
+    def _template(self, build, link: str, args: tuple) -> _Template:
+        """``build(link, q, *args)`` over the placeholder joints, built on the first call.
 
-        Runs a compiled function of the query, built on the first call and
-        cached per (query, link, args).
+        Cached per (query, link, args) until a frame is registered.
+        """
+        key = (build.__name__, link, args)
+        t = self._templates.get(key)
+        if t is None:
+            e = as_expression(build(link, self._q, *args))
+            roots = list(e._n.flat)
+            t = self._templates[key] = _Template(e, roots, expr._postorder(roots))
+        return t
+
+    def _instance(self, build, link: str, q: Expression, *args) -> Expression:
+        """The template of ``build`` with its placeholder joints replaced by ``q``.
+
+        One pass over the template's post-order through the smart
+        constructors.  They fold on constants and on negation, never on
+        which leaf a node is, so the instance is the graph ``build(link,
+        q, *args)`` makes, up to which equal constants are one node
+        (:func:`~taskopt.expr._shape_key`).
+        """
+        qe = self._normalize_q(q)
+        t = self._template(build, link, args)
+        joints = {id(p): n for p, n in zip(self._q._n.flat, qe._n.flat)}
+        nodes = expr._rebuild(t.roots, joints, t.walk)
+        return Expression(np.array(nodes, dtype=object).reshape(t.e.shape))
+
+    def _numeric(self, build, link: str, q, *args) -> np.ndarray:
+        """The template of ``build`` at numeric ``q``.
+
+        Runs a compiled function of the template, made on the first call
+        and cached per (query, link, args).
         """
         v = np.asarray(q, dtype=float)
         if v.ndim > 2:
             raise ValueError("constants are at most 2-D")
         v = v.ravel(order="F")
         self._check_ndof(v.size)
-        key = (query.__name__, link, args)
+        key = (build.__name__, link, args)
         fn = self._compiled.get(key)
         if fn is None:
-            qs = expr.variable("__robot_q", self.ndof)
-            e = as_expression(query(link, qs, *args))
+            e = self._template(build, link, args).e
+            joints = self._q.leaf_blocks()
             for block in e.leaf_blocks():
-                if block is not qs._n[0, 0].block:
+                if block not in joints:
                     raise KeyError(f"no binding for {block.kind} {block.name!r}")
             fn = expr.CompiledFunction(e, [("variable", {"__robot_q": (0, self.ndof, 1)})])
             self._compiled[key] = fn
         # constant folding never makes a -0.0; + 0.0 turns the compiled one's into +0.0
         return fn(v) + 0.0
 
+    # forward kinematics ----------------------------------------------------
     def _chain_to(self, link: str) -> tuple[list[UrdfJoint], Expression | None]:
         tip_T = None
         if link in self._extra_tips:
@@ -242,31 +297,37 @@ class RobotModel:
             return T, axes
         return T
 
+    # Each public query below is a template builder ``_<query>(link, qe,
+    # *args)``, run on the placeholder joints, and a method that answers a
+    # numeric q by the template's compiled function and a symbolic q by an
+    # instance of the template.
+
+    def _global_link_transform(self, link: str, qe: Expression) -> Expression:
+        return self._fk(link, qe)
+
     def global_link_transform(self, link: str, q):
         """4x4 pose of ``link`` in the world frame."""
         if not isinstance(q, Expression):
-            return self._numeric(self.global_link_transform, link, q)
-        return self._fk(link, self._normalize_q(q))
+            return self._numeric(self._global_link_transform, link, q)
+        return self._instance(self._global_link_transform, link, q)
+
+    def _global_link_position(self, link: str, qe: Expression) -> Expression:
+        return self._fk(link, qe)[0:3, 3]
 
     def global_link_position(self, link: str, q):
         if not isinstance(q, Expression):
-            return self._numeric(self.global_link_position, link, q).ravel()
-        return self._fk(link, self._normalize_q(q))[0:3, 3]
+            return self._numeric(self._global_link_position, link, q).ravel()
+        return self._instance(self._global_link_position, link, q)
+
+    def _global_link_rotation(self, link: str, qe: Expression) -> Expression:
+        return self._fk(link, qe)[0:3, 0:3]
 
     def global_link_rotation(self, link: str, q):
         if not isinstance(q, Expression):
-            return self._numeric(self.global_link_rotation, link, q)
-        return self._fk(link, self._normalize_q(q))[0:3, 0:3]
+            return self._numeric(self._global_link_rotation, link, q)
+        return self._instance(self._global_link_rotation, link, q)
 
-    def global_link_quaternion(self, link: str, q):
-        """Unit quaternion (x, y, z, w) of the link orientation.
-
-        Built by chaining per-joint axis-angle quaternions, so it stays
-        smooth in the joint state (no matrix branch selection involved).
-        """
-        if not isinstance(q, Expression):
-            return self._numeric(self.global_link_quaternion, link, q).ravel()
-        qe = self._normalize_q(q)
+    def _global_link_quaternion(self, link: str, qe: Expression) -> Expression:
         chain, tip_T = self._chain_to(link)
         quat = None
 
@@ -292,17 +353,27 @@ class RobotModel:
             quat = expr.constant(np.array([0.0, 0.0, 0.0, 1.0]))
         return as_expression(quat)
 
+    def global_link_quaternion(self, link: str, q):
+        """Unit quaternion (x, y, z, w) of the link orientation.
+
+        Built by chaining per-joint axis-angle quaternions, so it stays
+        smooth in the joint state (no matrix branch selection involved).
+        """
+        if not isinstance(q, Expression):
+            return self._numeric(self._global_link_quaternion, link, q).ravel()
+        return self._instance(self._global_link_quaternion, link, q)
+
+    def _global_link_rpy(self, link: str, qe: Expression) -> Expression:
+        return spatial.matrix_to_rpy(self._fk(link, qe)[0:3, 0:3])
+
     def global_link_rpy(self, link: str, q):
         if not isinstance(q, Expression):
-            return self._numeric(self.global_link_rpy, link, q).ravel()
-        return spatial.matrix_to_rpy(self._fk(link, self._normalize_q(q))[0:3, 0:3])
+            return self._numeric(self._global_link_rpy, link, q).ravel()
+        return self._instance(self._global_link_rpy, link, q)
 
     # jacobians ---------------------------------------------------------------
-    def geometric_jacobian(self, link: str, q):
-        """6 x ndof Jacobian, rows (linear velocity; angular velocity)."""
-        if not isinstance(q, Expression):
-            return self._numeric(self.geometric_jacobian, link, q)
-        T, axes = self._fk(link, self._normalize_q(q), want_jacobian_data=True)
+    def _geometric_jacobian(self, link: str, qe: Expression) -> Expression:
+        T, axes = self._fk(link, qe, want_jacobian_data=True)
         p_e = T[0:3, 3]
         zero3 = expr.constant(np.zeros(3))
         cols = []
@@ -319,19 +390,34 @@ class RobotModel:
                 cols.append(expr.vertcat(lin, z))
         return expr.horzcat(*cols) if cols else expr.constant(np.zeros((6, 0)))
 
+    def geometric_jacobian(self, link: str, q):
+        """6 x ndof Jacobian, rows (linear velocity; angular velocity)."""
+        if not isinstance(q, Expression):
+            return self._numeric(self._geometric_jacobian, link, q)
+        return self._instance(self._geometric_jacobian, link, q)
+
+    def _analytical_jacobian(self, link: str, qe: Expression) -> Expression:
+        """Differentiates by the entries of ``qe``, which must be distinct leaves."""
+        T = self._fk(link, qe)
+        stacked = expr.vertcat(T[0:3, 3], spatial.matrix_to_rpy(T[0:3, 0:3]))
+        return expr.jacobian(stacked, qe)
+
     def analytical_jacobian(self, link: str, q):
         """Jacobian of (position, rpy) by automatic differentiation.
 
-        Evaluation near the rpy pitch singularity (+-pi/2) produces large
-        values; that representation limit is not trapped here.
+        The derivative is taken once per link, by the placeholder joints,
+        and instantiated at ``q``.  Evaluation near the rpy pitch
+        singularity (+-pi/2) produces large values; that representation
+        limit is not trapped here.
         """
         if not isinstance(q, Expression):
-            return self._numeric(self.analytical_jacobian, link, q)
-        qe = self._normalize_q(q)
-        qs = expr.variable("__robot_q", self.ndof)
-        T = self._fk(link, qs)
-        stacked = expr.vertcat(T[0:3, 3], spatial.matrix_to_rpy(T[0:3, 0:3]))
-        return expr.substitute(expr.jacobian(stacked, qs), {"__robot_q": qe})
+            return self._numeric(self._analytical_jacobian, link, q)
+        return self._instance(self._analytical_jacobian, link, q)
+
+    def _manipulability(self, link: str, qe: Expression, rows: tuple) -> Expression:
+        J = self._geometric_jacobian(link, qe)
+        J_sel = Expression(J._n[list(rows), :])
+        return expr.sqrt(expr.det(J_sel @ J_sel.T))
 
     def manipulability(self, link: str, q, rows=(0, 1, 2)):
         """sqrt(det(J_sel J_sel^T)) over the selected Jacobian rows (max 3)."""
@@ -339,7 +425,5 @@ class RobotModel:
         if not rows or len(rows) > 3 or any(r < 0 or r > 5 for r in rows):
             raise ValueError("rows must select between 1 and 3 of the 6 Jacobian rows")
         if not isinstance(q, Expression):
-            return float(self._numeric(self.manipulability, link, q, rows)[0, 0])
-        J = self.geometric_jacobian(link, self._normalize_q(q))
-        J_sel = Expression(J._n[list(rows), :])
-        return expr.sqrt(expr.det(J_sel @ J_sel.T))
+            return float(self._numeric(self._manipulability, link, q, rows)[0, 0])
+        return self._instance(self._manipulability, link, q, rows)

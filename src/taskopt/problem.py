@@ -421,13 +421,16 @@ class _Template(NamedTuple):
     (i, j >= i), in order.  Row r of ``inputs`` holds the places in
     ``[X; P]`` of instance r's slots; ``upper`` holds the flat positions in
     H of every instance's entries, instance by instance, and ``lower``
-    those of their mirrors.
+    those of their mirrors.  The templates whose entries are all constants
+    are one template with no ``fn`` and no ``inputs``: ``values`` holds
+    their entries, evaluated once, in ``upper``'s order.
     """
 
-    fn: CompiledFunction
+    fn: CompiledFunction | None
     inputs: np.ndarray
     upper: np.ndarray
     lower: np.ndarray
+    values: np.ndarray | None = None
 
 
 def _hessian_templates(f: Node, x_leaves, blocks, layouts) -> tuple[_Template, ...]:
@@ -482,7 +485,7 @@ def _hessian_templates(f: Node, x_leaves, blocks, layouts) -> tuple[_Template, .
     rows = expr._hessian(grad, slot_leaves, cache)
     del cache, grad
 
-    out = []
+    out, constant = [], []
     for offset, x_slots, width, instances in built:
         entries = [
             (i - offset, j - offset, d)
@@ -493,17 +496,25 @@ def _hessian_templates(f: Node, x_leaves, blocks, layouts) -> tuple[_Template, .
         if not entries:
             continue
         nodes = [d for _, _, d in entries]
+        x_cols = np.array([[cols[s] for s in x_slots] for _, cols in instances], dtype=np.intp)
+        a = [i for i, _, _ in entries]
+        b = [j for _, j, _ in entries]
+        ci, cj = x_cols[:, a], x_cols[:, b]
+        upper, lower = (ci * n + cj).ravel(), (cj * n + ci).ravel()
+        if all(d.op == expr._CONST for d in nodes):
+            values = np.tile(np.array([d.val for d in nodes]), len(instances))
+            constant.append((upper, lower, values))
+            continue
         fn = CompiledFunction(
             ((1, len(nodes)), range(len(nodes)), nodes), (("variable", {"slots": (0, width, 1)}),)
         )
         inputs = np.array(
             [[place(leaf) for leaf in leaves] for leaves, _ in instances], dtype=np.intp
         )
-        x_cols = np.array([[cols[s] for s in x_slots] for _, cols in instances], dtype=np.intp)
-        a = [i for i, _, _ in entries]
-        b = [j for _, j, _ in entries]
-        ci, cj = x_cols[:, a], x_cols[:, b]
-        out.append(_Template(fn, inputs, (ci * n + cj).ravel(), (cj * n + ci).ravel()))
+        out.append(_Template(fn, inputs, upper, lower))
+    if constant:
+        upper, lower, values = (np.concatenate(parts) for parts in zip(*constant))
+        out.append(_Template(None, np.zeros((0, 0), dtype=np.intp), upper, lower, values))
     return tuple(out)
 
 
@@ -659,8 +670,10 @@ class Problem:
 
         Each template (:func:`_hessian_templates`) gives its entries for
         each instance from that instance's slots of ``[X; P]``; they are
-        put at (i, j >= i) and mirrored.  An arithmetic fault in any
-        instance makes all of H NaN.
+        put at (i, j >= i) and mirrored.  Entries that are constants in
+        every instance of their template were evaluated when it was built
+        and are only written.  An arithmetic fault in any instance makes
+        all of H NaN.
         """
         X, P = self._check(X, P)
         if self._hess is None:
@@ -668,8 +681,9 @@ class Problem:
         H = np.zeros((self.n_x, self.n_x))
         XP = np.concatenate([X, P])
         try:
-            for fn, inputs, upper, lower in self._hess:
-                values = np.array([fn._entries([row]) for row in XP[inputs].tolist()]).ravel()
+            for fn, inputs, upper, lower, values in self._hess:
+                if fn is not None:
+                    values = np.array([fn._entries([row]) for row in XP[inputs].tolist()]).ravel()
                 H.flat[upper] = values
                 H.flat[lower] = values
         except (ArithmeticError, ValueError):

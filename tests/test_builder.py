@@ -414,7 +414,8 @@ class TestHorizonGrowth:
         for T in (4, 8):
             p = horizon_task(T)[1].build()
             p.hessian(np.zeros(p.n_x), np.zeros(p.n_p))  # ∇²f is compiled on its first call
-            hess = sum(handed[id(template.fn)] for template in p._hess)  # one function per template
+            # one function per template, but none for the constant entries
+            hess = sum(handed[id(t.fn)] for t in p._hess if t.fn is not None)
             counts.append(np.array([hess, handed[id(p._M)], handed[id(p._A)]]))
         # a stage adds a fixed number of nonzeros; dense n x n or rows x n pieces grow about 4x
         assert (counts[1] <= 2.25 * counts[0]).all(), counts
@@ -492,6 +493,31 @@ class TestHorizonGrowth:
         blocks = p._gauss_newton(X, P)
         assert [v.shape[0] for v in blocks] == [group.shape[0] for group in p.hessian_blocks]
         assert all(np.isfinite(v).all() for v in blocks)
+
+    def test_constant_hessian_entries_are_evaluated_once(self, monkeypatch):
+        # 1/x faults at x = 0; the rate cost's ∇²f entries are the constant 2e-3
+        b = to.TaskBuilder(3)
+        x, y = b.add_decision_variables("x", 1, 3), b.add_decision_variables("y", 2, 3)
+        inverse = to.constant(0.0)
+        for t in range(3):
+            inverse = inverse + 1.0 / x[0, t]
+        b.add_cost_term("inverse", inverse)
+        b.add_cost_term("rate", 1e-3 * to.sumsqr(y))
+        p = b.build()
+        whole = to.hessian(inverse + 1e-3 * to.sumsqr(y), [p.decision.block(n) for n in p.decision.names()])
+        runs = []
+        entries = CompiledFunction._entries
+        monkeypatch.setattr(CompiledFunction, "_entries", lambda fn, v: runs.append(1) or entries(fn, v))
+        X = np.arange(1.0, p.n_x + 1.0)
+        faulted = np.where(np.arange(p.n_x) == p.decision.layout()["x"][0], 0.0, X)
+        for point in (X, faulted):
+            want = to.evaluate(whole, p.decision.devectorize(point, squeeze=False))
+            assert p.hessian(point).tobytes() == want.tobytes()
+            if point is X:
+                assert len(runs) == 3  # one run per stage of 1/x, none for the rate cost
+        assert np.isnan(want).all()
+        (constant,) = [t for t in p._hess if t.fn is None]
+        assert constant.values.tolist() == [2e-3] * 6
 
     def test_long_arm6_horizon_hessian_repeats_the_first_stage(self):
         # the exact ∇²f at a T whose sum chains are deeper than a recursive

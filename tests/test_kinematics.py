@@ -297,6 +297,37 @@ class TestCompiledQueries:
         assert np.allclose(r.global_link_position("tool", [0.0, 0.0]), [2.0, 0.1, 0.0])
         assert r.global_link_position("ee", [0.0, 0.0]).tobytes() == p_ee.tobytes()
 
+    def test_symbolic_query_before_a_frame_moves_after_it(self):
+        r = to.RobotModel(to.fixture_path("planar2r"), tip="ee")
+        q, qv = to.variable("q", 2), np.array([0.2, 0.3])
+
+        def position(link):
+            return to.evaluate(r.global_link_position(link, q), {"q": qv}).ravel()
+
+        p0 = position("ee")
+        r.register_base_offset(spatial.transform_from(None, [1.0, 0.0, 0.0]))
+        assert position("ee").tolist() == (p0 + [1.0, 0.0, 0.0]).tolist()
+        r.register_base_offset(spatial.transform_from(spatial.rotation_z(np.pi / 2), None))
+        assert np.allclose(position("ee"), [-p0[1], p0[0], 0.0])
+        p_ee = position("ee")
+        r.register_tip("tool", "ee", spatial.transform_from(None, [0.0, 0.1, 0.0]))
+        assert not r._templates
+        assert position("ee").tobytes() == p_ee.tobytes()
+        assert position("tool").tobytes() == r.global_link_position("tool", qv).tobytes()
+
+    def test_parameter_base_offset_stays_in_the_instance(self):
+        r = to.RobotModel(to.fixture_path("planar2r"), tip="ee")
+        q, qv, base = to.variable("q", 2), np.array([0.2, 0.3]), np.array([1.0, -2.0, 0.5])
+        p_ee = r.global_link_position("ee", qv)
+        r.register_base_offset(spatial.transform_from(None, to.parameter("base", 3)))
+        for _ in range(2):  # the first call builds the template, the second reuses it
+            sym = r.global_link_position("ee", q)
+            assert sorted(block.name for block in sym.leaf_blocks()) == ["base", "q"]
+            got = to.evaluate(sym, {"q": qv, "base": base}).ravel()
+            assert got.tolist() == (p_ee + base).tolist()
+        with pytest.raises(KeyError, match="base"):
+            r.global_link_position("ee", qv)
+
     def test_repeated_query_reuses_one_compiled_function(self, arm6):
         r = to.RobotModel(to.fixture_path("arm6"), tip="ee")
         rng = np.random.default_rng(11)
@@ -320,6 +351,17 @@ class TestCompiledQueries:
                 query("tool", [0.1, 0.2], **kwargs)
             assert err.value.args == ("no binding for parameter 'T'",)
         assert not r._compiled
+
+    def test_robot_without_actuated_joints(self):
+        r = to.RobotModel(
+            '<robot name="mount"><link name="a"/><link name="b"/>'
+            '<joint name="j" type="fixed"><parent link="a"/><child link="b"/>'
+            '<origin xyz="1 0 0"/></joint></robot>'
+        )
+        assert r.ndof == 0
+        sym = r.global_link_position("b", to.constant(np.zeros(0)))
+        assert sym.is_constant() and sym.to_array().ravel().tolist() == [1.0, 0.0, 0.0]
+        assert r.global_link_position("b", np.zeros(0)).tolist() == [1.0, 0.0, 0.0]
 
     def test_wrong_length_q_keeps_value_error(self, planar2r):
         for q in ([0.1, 0.2, 0.3], np.zeros((1, 1, 2)), to.variable("q", 3)):

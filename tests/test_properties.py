@@ -370,6 +370,72 @@ class TestKinematics:
                     assert got.tobytes() == want.tobytes(), (fixture, link, name, rows)
 
 
+# joint entries for the template oracle: a leaf of x, x[0] again, a
+# constant (-0.0 built raw, as folding never makes one), the negation of a
+# leaf, or c * x + p
+_ENTRY_KINDS = ("leaf", "repeated", "constant", "negated", "affine")
+_ENTRY_CONSTANTS = (0.0, -0.0, 1.0, math.pi / 2)
+
+
+@st.composite
+def symbolic_joint_states(draw, ndof):
+    """``(q, bindings)``: an ndof column over x (ndof) and p (1), and values for x and p."""
+    x, p = to.variable("x", ndof), to.parameter("p", 1)
+    entries = []
+    for i in range(ndof):
+        leaf, kind = x._n[i, 0], draw(st.sampled_from(_ENTRY_KINDS))
+        if kind == "repeated":
+            entries.append(x._n[0, 0])
+        elif kind == "constant":
+            entries.append(_raw_const(draw(st.sampled_from(_ENTRY_CONSTANTS))))
+        elif kind == "negated":
+            entries.append(expr._neg(leaf))
+        elif kind == "affine":
+            c = expr._const(draw(st.sampled_from((2.0, -0.5))))
+            entries.append(expr._add(expr._mul(c, leaf), p._n[0, 0]))
+        else:
+            entries.append(leaf)
+    bindings = {
+        "x": np.array(draw(st.lists(_joint_values, min_size=ndof, max_size=ndof))),
+        "p": np.array([draw(_joint_values)]),
+    }
+    return Expression(np.array(entries, dtype=object).reshape(-1, 1)), bindings
+
+
+def _direct(robot, name, link, q, rows):
+    """The template builder of a query run on ``q`` itself.
+
+    The analytical Jacobian differentiates by its joint leaves, so it is
+    built on fresh leaves and ``q`` is substituted for them.
+    """
+    if name == "analytical_jacobian":
+        y = to.variable("y", robot.ndof)
+        return to.substitute(robot._analytical_jacobian(link, y), {"y": q})
+    build = getattr(robot, "_" + name)
+    return expr.as_expression(build(link, q) if rows is None else build(link, q, rows))
+
+
+class TestKinematicsTemplates:
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_instances_equal_the_builder_run_on_q(self, data):
+        for fixture in ("planar2r", "arm6"):
+            robot = to.RobotModel(to.fixture_path(fixture), tip="ee")
+            q, bindings = data.draw(symbolic_joint_states(robot.ndof), label=fixture)
+            queries = [(name, None) for name in _QUERIES]
+            queries += [("manipulability", rows) for rows in _MANIPULABILITY_ROWS]
+            for link in robot.urdf.links:
+                for name, rows in queries:
+                    query = getattr(robot, name)
+                    got = query(link, q) if rows is None else query(link, q, rows)
+                    want = _direct(robot, name, link, q, rows)
+                    assert got.shape == want.shape, (fixture, link, name, rows)
+                    for g, w in zip(got._n.flat, want._n.flat):
+                        assert expr._shape_key(g) == expr._shape_key(w), (fixture, link, name, rows)
+                    got_v, want_v = to.evaluate(got, bindings), to.evaluate(want, bindings)
+                    assert got_v.tobytes() == want_v.tobytes(), (fixture, link, name, rows)
+
+
 @st.composite
 def routed_tasks(draw):
     """A TaskBuilder with one constraint per random DAG row over its own x (3) and p (2).
